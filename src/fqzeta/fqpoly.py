@@ -7,10 +7,16 @@ with no trailing zeros.  Rational functions are reduced fractions with a
 monic denominator.
 
 Multiplication of large polynomials goes through a packed big-integer
-representation (Kronecker-style substitution with 16-bit limbs and one
-x-slot block per t-coefficient); a single Python int multiply then
-performs the whole convolution exactly, after which limbs are folded
-modulo m(x) and p.  The schoolbook route is kept for small operands and
+representation (Kronecker substitution, one slot of 2f - 1 limbs per
+t-coefficient), so a single Python int multiply performs the whole
+convolution exactly; limbs are then folded modulo m(x) and p.  Only this
+module knows that format.  Its limb width is per field: the smallest of
+16, 32 and 64 bits holding 256 coefficient products (p-1)^2 * f.  One
+overflow rule covers every packed product: canonical operands add at most
+(p-1)^2 * f * min(slots) to a limb, and ``PackedSum.add`` renormalizes or
+splits the shorter operand before any limb could overflow.  ``make_field``
+accepts exactly the fields with (p-1)^2 * f + p - 1 < 2^64, each exact on
+every packed path.  The schoolbook route is kept for small operands and
 serves as the independent reference in the test suite.  All arithmetic
 is exact; there is no floating point anywhere in this module.
 """
@@ -30,6 +36,7 @@ __all__ = [
     "FieldElement",
     "Poly",
     "RationalFn",
+    "PackedSum",
     "make_field",
     "field_from_q",
     "monic_polys",
@@ -39,8 +46,7 @@ __all__ = [
 
 _TABLE_LIMIT = 1024
 _SCHOOLBOOK_CUTOFF = 2048
-_LIMB_BITS = 16
-_LIMB_MAX = 1 << _LIMB_BITS
+_HEADROOM = 256  # coefficient products a limb of the chosen width holds
 
 
 class _PlusInfinity:
@@ -86,17 +92,6 @@ def _fp_strip(c: list[int]) -> tuple[int, ...]:
     while c and c[-1] == 0:
         c.pop()
     return tuple(c)
-
-
-def _fp_mul(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _fp_strip(out)
 
 
 def _fp_mod(a: Sequence[int], m: Sequence[int], p: int) -> tuple[int, ...]:
@@ -167,6 +162,10 @@ class FieldSpec:
         "modulus",
         "x_fold",
         "pack_stride",
+        "_limb_bits",
+        "_slot_bits",
+        "_product_bound",
+        "_chunk_slots",
         "_add",
         "_mul",
         "_neg",
@@ -186,6 +185,11 @@ class FieldSpec:
             power = _fp_mod((0,) + tuple(power), modulus, pp.p)
         self.x_fold = tuple(fold)
         self.pack_stride = 2 * f - 1
+        bound = self._product_bound = (pp.p - 1) ** 2 * f
+        self._limb_bits = next((w for w in (16, 32) if bound * _HEADROOM >> w == 0), 64)
+        self._slot_bits = self._limb_bits * self.pack_stride
+        # longest operand piece whose product fits on top of a reduced limb
+        self._chunk_slots = ((1 << self._limb_bits) - pp.p) // bound
         if pp.q <= _TABLE_LIMIT:
             self._build_tables()
         else:
@@ -322,11 +326,14 @@ def make_field(p: int, f: int) -> FieldSpec:
     The modulus is the lexicographically smallest monic irreducible of
     degree f over F_p, coefficients compared low-to-high as a base-p
     integer; irreducibility is certified by trial division against every
-    monic polynomial of degree at most f/2.
+    monic polynomial of degree at most f/2.  Raises ValueError when
+    (p-1)^2 * f + p - 1 does not fit a 64-bit limb.
     """
     key = (p, f)
     spec = _FIELD_REGISTRY.get(key)
     if spec is None:
+        if (p - 1) ** 2 * f + p - 1 >> 64:
+            raise ValueError(f"q = {p}^{f}: (p-1)^2*f + p-1 exceeds a 64-bit limb")
         pp = PrimePower(p, f)
         modulus = None
         for cand in _fp_monics(f, p):
@@ -407,75 +414,93 @@ class FieldElement:
 # ---------------------------------------------------------------------------
 
 
-def _pack_safe(field: FieldSpec, min_len: int) -> bool:
-    p, f = field.pp.p, field.pp.f
-    return (p - 1) * (p - 1) * f * min_len < _LIMB_MAX
-
-
 def _pack_codes(codes: Sequence[int], field: FieldSpec) -> int:
-    if not codes:
-        return 0
     p, f = field.pp.p, field.pp.f
-    stride = field.pack_stride
-    arr = np.asarray(codes, dtype=np.int64)
-    full = np.zeros((len(codes), stride), dtype=np.int64)
+    arr = np.asarray(codes, dtype=np.uint64)
+    full = np.zeros((len(codes), field.pack_stride), dtype=f"<u{field._limb_bits // 8}")
     for j in range(f):
         full[:, j] = (arr // p**j) % p
-    return int.from_bytes(full.astype("<u2").tobytes(), "little")
+    return int.from_bytes(full.tobytes(), "little")
 
 
 def _limb_rows(n: int, field: FieldSpec) -> np.ndarray:
-    stride = field.pack_stride
-    slot_bytes = 2 * stride
-    nbytes = (n.bit_length() + 7) // 8
-    nbytes = ((nbytes + slot_bytes - 1) // slot_bytes) * slot_bytes
-    raw = n.to_bytes(nbytes, "little")
-    return np.frombuffer(raw, "<u2").astype(np.int64).reshape(-1, stride)
+    nbytes = -(-n.bit_length() // field._slot_bits) * field._slot_bits // 8
+    raw = np.frombuffer(n.to_bytes(nbytes, "little"), f"<u{field._limb_bits // 8}")
+    return raw.reshape(-1, field.pack_stride)
 
 
 def _fold_rows(rows: np.ndarray, field: FieldSpec) -> np.ndarray:
+    """Limb rows with the x-slots folded modulo m(x) into the low f limbs,
+    the rest zeroed, all reduced mod p."""
     p, f = field.pp.p, field.pp.f
     if f == 1:
         return rows % p
-    head = rows[:, :f].copy()
+    # f - 1 fold terms c * limb (c < p) stay below 2^32 on 16-bit limbs and
+    # below 2^64 on 32-bit limbs; 64-bit limbs are reduced first, which
+    # keeps a head limb below (p-1) + (f-1)(p-1)^2, as make_field assumes
+    rows = rows.astype(np.uint32 if field._limb_bits == 16 else np.uint64)
+    if field._limb_bits == 64:
+        rows %= p
     for e in range(f, 2 * f - 1):
         col = rows[:, e]
         for b_idx, c in enumerate(field.x_fold[e - f]):
             if c:
-                head[:, b_idx] += c * col
-    return head % p
+                rows[:, b_idx] += c * col
+    rows[:, f:] = 0
+    rows %= p
+    return rows
 
 
 def _renorm_packed(n: int, field: FieldSpec) -> int:
     """Fold x-slots modulo m(x) and reduce limbs mod p; canonical packed."""
-    if n == 0:
-        return 0
-    head = _fold_rows(_limb_rows(n, field), field)
-    stride = field.pack_stride
-    full = np.zeros((head.shape[0], stride), dtype=np.int64)
-    full[:, : head.shape[1]] = head
-    return int.from_bytes(full.astype("<u2").tobytes(), "little")
+    rows = _fold_rows(_limb_rows(n, field), field)
+    dtype = f"<u{field._limb_bits // 8}"
+    return int.from_bytes(rows.astype(dtype, copy=False).tobytes(), "little")
 
 
-def _codes_from_packed(n: int, field: FieldSpec) -> tuple[int, ...]:
-    """Codes of a raw packed value (renormalizes), trailing zeros stripped."""
-    if n == 0:
-        return ()
-    head = _fold_rows(_limb_rows(n, field), field)
-    p = field.pp.p
-    weights = np.array([p**j for j in range(field.pp.f)], dtype=np.int64)
-    codes = (head * weights).sum(axis=1).tolist()
-    while codes and codes[-1] == 0:
-        codes.pop()
-    return tuple(codes)
+class PackedSum:
+    """Exact running sum of products of canonical packed polynomials.
 
+    ``add`` is the one place packed integers are multiplied and summed.
+    ``load`` bounds every limb of ``value``; before a product could push a
+    limb past the limb width the sum is renormalized, and a product too
+    long to fit even then is taken in pieces of the shorter operand.
+    """
 
-def _packed_valuation(canonical: int, field: FieldSpec):
-    """t-valuation of a canonical (renormalized) packed value."""
-    if canonical == 0:
-        return INF
-    limb = ((canonical & -canonical).bit_length() - 1) // _LIMB_BITS
-    return limb // field.pack_stride
+    __slots__ = ("field", "value", "load")
+
+    def __init__(self, field: FieldSpec):
+        self.field, self.value, self.load = field, 0, 0
+
+    def add(self, a: int, b: int = 1) -> "PackedSum":
+        """Add a * b for canonical packed a and b; b = 1 adds a itself."""
+        if not a or not b:
+            return self
+        fs = self.field
+        la, lb = a.bit_length() // fs._slot_bits + 1, b.bit_length() // fs._slot_bits + 1
+        if la < lb:
+            a, b, lb = b, a, la
+        if lb <= fs._chunk_slots:
+            self._reserve(fs._product_bound * lb)
+            self.value += a * b
+            return self
+        bits = fs._chunk_slots * fs._slot_bits
+        for shift in range(0, b.bit_length(), bits):
+            self._reserve(fs._product_bound * fs._chunk_slots)
+            self.value += (a * (b >> shift & (1 << bits) - 1)) << shift
+        return self
+
+    def _reserve(self, bound: int) -> None:
+        if self.load + bound >> self.field._limb_bits:
+            self.canonical()
+        self.load += bound
+
+    def canonical(self) -> int:
+        """The sum, renormalized in place to canonical packed form."""
+        if self.load >= self.field.pp.p:
+            self.value = _renorm_packed(self.value, self.field)
+            self.load = self.field.pp.p - 1
+        return self.value
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +549,15 @@ class Poly:
     @classmethod
     def t(cls, field: FieldSpec) -> "Poly":
         return cls(field, (0, 1))
+
+    @classmethod
+    def from_packed(cls, field: FieldSpec, n: int) -> "Poly":
+        """Polynomial of a packed value, canonical or a ``PackedSum.value``."""
+        if n == 0:
+            return cls(field, ())
+        head = _fold_rows(_limb_rows(n, field), field)[:, : field.pp.f]
+        weights = np.array([field.pp.p**j for j in range(field.pp.f)], dtype=np.uint64)
+        return cls(field, (head * weights).sum(axis=1).tolist())
 
     @classmethod
     def from_elements(cls, elements: Sequence[FieldElement]) -> "Poly":
@@ -591,7 +625,7 @@ class Poly:
         if self.is_zero or other.is_zero:
             return Poly.zero(self.field)
         la, lb = len(self.coeffs), len(other.coeffs)
-        if la * lb <= _SCHOOLBOOK_CUTOFF or not _pack_safe(self.field, min(la, lb)):
+        if la * lb <= _SCHOOLBOOK_CUTOFF:
             return _mul_schoolbook(self, other)
         return _mul_packed(self, other)
 
@@ -723,8 +757,7 @@ def _mul_schoolbook(a: Poly, b: Poly) -> Poly:
 
 
 def _mul_packed(a: Poly, b: Poly) -> Poly:
-    raw = a.packed() * b.packed()
-    return Poly(a.field, _codes_from_packed(raw, a.field))
+    return Poly.from_packed(a.field, PackedSum(a.field).add(a.packed(), b.packed()).value)
 
 
 def monic_polys(field: FieldSpec, d: int) -> Iterator[Poly]:

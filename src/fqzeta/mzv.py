@@ -26,15 +26,7 @@ from typing import Iterator, Optional, Union
 
 from .digitlab import PrimePower, vanishing_threshold
 from .errors import PreconditionError, ResourceLimitError, VanishingMismatchError
-from .fqpoly import (
-    INF,
-    FieldSpec,
-    Poly,
-    RationalFn,
-    _codes_from_packed,
-    _pack_codes,
-    _renorm_packed,
-)
+from .fqpoly import INF, FieldSpec, PackedSum, Poly, RationalFn
 from .powersum import power_sum_bruteforce, power_sum_formula, power_sum_valuation
 
 __all__ = [
@@ -177,11 +169,7 @@ class _NegativeEngine:
     def __init__(self, field: FieldSpec):
         self.field = field
         self._s_packed: dict[tuple[int, int], int] = {}
-        self._s_slots: dict[tuple[int, int], int] = {}
         self._levels: dict[int, tuple[tuple[int, ...], list[int]]] = {}
-        self._one = _pack_codes((1,), field)
-        pp = field.pp
-        self._limb_scale = (pp.p - 1) * (pp.p - 1) * pp.f
 
     def s_packed(self, d: int, k: int) -> int:
         key = (d, k)
@@ -189,8 +177,6 @@ class _NegativeEngine:
         if cached is None:
             cached = power_sum_formula(d, -k, self.field).value.packed()
             self._s_packed[key] = cached
-            slot_bits = 16 * self.field.pack_stride
-            self._s_slots[key] = cached.bit_length() // slot_bits + 1
         return cached
 
     def suffix_table(self, prefix: tuple[int, ...]) -> list[int]:
@@ -206,45 +192,34 @@ class _NegativeEngine:
             return cached[1]
         k = -prefix[0]
         bound = _threshold_floor(k, self.field.pp)
-        if i == 1:
-            deeper = None
-        else:
-            deeper = self.suffix_table(prefix[1:])
+        deeper = self.suffix_table(prefix[1:]) if i > 1 else None
         table = [0] * (bound + 2)
+        run = PackedSum(self.field)
         for m in range(bound, -1, -1):
-            term = self.s_packed(m, k)
             if deeper is None:
-                inner = self._one
-            else:
-                inner = deeper[m + 1] if m + 1 < len(deeper) else 0
-            raw = table[m + 1] + term * inner
-            table[m] = _renorm_packed(raw, self.field)
+                run.add(self.s_packed(m, k))
+            elif m + 1 < len(deeper) and deeper[m + 1]:
+                run.add(self.s_packed(m, k), deeper[m + 1])
+            table[m] = run.canonical()
         self._levels[i] = (prefix, table)
         return table
 
     def zeta_packed(self, s: tuple[int, ...]) -> int:
+        """zeta(s) as a packed sum, not necessarily canonical."""
         # suffix tables are keyed with s_1 innermost, so feed the reverse;
-        # the outermost level only needs m = 0, so its products are
-        # accumulated raw with one final renormalization when the limb
-        # bound allows it
+        # the outermost level only needs m = 0, so its products go into
+        # one running sum instead of a table
         rev = s[::-1]
         if len(rev) == 1:
             return self.suffix_table(rev)[0]
         k = -rev[0]
         bound = _threshold_floor(k, self.field.pp)
         deeper = self.suffix_table(rev[1:])
-        margin = 0
-        for d in range(bound + 1):
-            self.s_packed(d, k)
-            margin += self._limb_scale * self._s_slots[(d, k)]
-        if margin >= 1 << 16:
-            return self.suffix_table(rev)[0]
-        raw = 0
-        for d in range(bound + 1):
-            inner = deeper[d + 1] if d + 1 < len(deeper) else 0
-            if inner:
-                raw += self.s_packed(d, k) * inner
-        return _renorm_packed(raw, self.field)
+        total = PackedSum(self.field)
+        for d in range(min(bound + 1, len(deeper) - 1)):
+            if deeper[d + 1]:
+                total.add(self.s_packed(d, k), deeper[d + 1])
+        return total.value
 
 
 def _classify_checked(
@@ -283,8 +258,7 @@ def zeta_negative(
     if not idx.all_negative:
         raise PreconditionError("zeta_negative needs all-negative entries")
     engine = _engine if _engine is not None else _NegativeEngine(field)
-    packed = engine.zeta_packed(idx.s)
-    value = Poly(field, _codes_from_packed(packed, field))
+    value = Poly.from_packed(field, engine.zeta_packed(idx.s))
     cls = _classify_checked(idx.s, field.pp, value.is_zero)
     return ZetaResult(idx, value, cls, True)
 

@@ -18,21 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb, prod
 from typing import Iterator, Union
 
 from .compose import HEAD, modest
 from .digitlab import PrimePower, base_digits, vanishing_threshold
 from .errors import ResourceLimitError
-from .fqpoly import (
-    INF,
-    FieldSpec,
-    Poly,
-    RationalFn,
-    _pack_codes,
-    _renorm_packed,
-    _codes_from_packed,
-    monic_polys,
-)
+from .fqpoly import INF, FieldSpec, PackedSum, Poly, RationalFn, monic_polys
 
 __all__ = [
     "PowerSumResult",
@@ -45,6 +37,9 @@ __all__ = [
 ]
 
 BRUTE_FORCE_LIMIT = 1_000_000
+# digit splits the formula route may walk; the suites and the benchmark
+# reach at most 8^7 (q = 2, k in {127, 191}, d = 7)
+FORMULA_SPLIT_LIMIT = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -93,15 +88,24 @@ def iter_index_tuples(
 
     Enumerates by distributing each base-p digit of k among the parts, so
     carry-freeness is structural and every multinomial coefficient is a
-    product of digit-column multinomials, each nonzero mod p.
+    product of digit-column multinomials, each nonzero mod p.  Raises
+    ResourceLimitError first when the digit splits, the product of
+    C(a + d, d) over the digits a, exceed FORMULA_SPLIT_LIMIT.
     """
     p = q.p
     qeven_mod = q.q - 1
     digits = base_digits(k, p)
+    splits = prod(comb(a + d, d) for a in digits)
+    if splits > FORMULA_SPLIT_LIMIT:
+        raise ResourceLimitError(
+            f"{splits} digit splits exceed the formula-route guard {FORMULA_SPLIT_LIMIT}"
+        )
     positions = [(j, a, p**j) for j, a in enumerate(digits) if a]
-    fact = [1] * p
-    for i in range(2, p):
-        fact[i] = fact[i - 1] * i
+    # factorials mod p up to the largest digit are units mod p
+    fact = [1] * (max(digits, default=0) + 1)
+    for i in range(2, len(fact)):
+        fact[i] = fact[i - 1] * i % p
+    inv_fact = [pow(x, -1, p) for x in fact]
     parts = [0] * (d + 1)
 
     def rec(idx: int, coeff: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
@@ -117,7 +121,7 @@ def iter_index_tuples(
         for split in _compositions(a, d + 1):
             mult = fact[a]
             for y in split:
-                mult //= fact[y]
+                mult *= inv_fact[y]
             for i, y in enumerate(split):
                 if y:
                     parts[i] += y * pw
@@ -203,31 +207,20 @@ def bruteforce_power_table(
     """
     if d < 0 or kmax < 0:
         raise ValueError("need d >= 0 and kmax >= 0")
-    pp = field.pp
-    count = pp.q**d
+    count = field.pp.q**d
     if count > max_terms:
         raise ResourceLimitError(
             f"q^d = {count} exceeds the brute-force guard {max_terms}"
         )
-    if d == 0:
-        return [Poly.one(field)] * (kmax + 1)
-    acc = [0] * (kmax + 1)
-    one_packed = _pack_codes((1,), field)
-    # raw accumulation is safe while (p-1) * seen < 2^16; renormalize the
-    # accumulators periodically to keep limbs small for larger sweeps
-    renorm_every = max((1 << 15) // pp.p, 1)
-    seen = 0
+    acc = [PackedSum(field) for _ in range(kmax + 1)]
     for a in monic_polys(field, d):
         ap = a.packed()
-        cur = one_packed
-        acc[0] += cur
+        cur = Poly.one(field).packed()
+        acc[0].add(cur)
         for k in range(1, kmax + 1):
-            cur = _renorm_packed(cur * ap, field)
-            acc[k] += cur
-        seen += 1
-        if seen % renorm_every == 0:
-            acc = [_renorm_packed(v, field) for v in acc]
-    return [Poly(field, _codes_from_packed(v, field)) for v in acc]
+            cur = PackedSum(field).add(cur, ap).canonical()
+            acc[k].add(cur)
+    return [Poly.from_packed(field, s.value) for s in acc]
 
 
 @lru_cache(maxsize=None)

@@ -69,9 +69,24 @@ class TestPowersumCommand:
         assert code == 3
         assert "resource" in err
 
+    def test_formula_guard_exit_code(self, capsys):
+        # digits (256, 256) base 257: C(258, 2)^2 ~ 1.1e9 digit splits
+        code, _, err = run(
+            capsys, "powersum", "--q", "257", "--d", "2", "--s", "-66048"
+        )
+        assert code == 3
+        assert "resource" in err
+
     def test_usage_exit_code(self, capsys):
         code, _, err = run(capsys, "powersum", "--q", "6", "--d", "1", "--s", "-2")
         assert code == 1
+
+    def test_field_too_wide_for_limbs_exit_code(self, capsys):
+        code, _, err = run(
+            capsys, "powersum", "--p", "4294967311", "--d", "1", "--s", "-2"
+        )
+        assert code == 1
+        assert "limb" in err
 
     def test_bad_flag_exit_code(self):
         with pytest.raises(SystemExit) as exc:

@@ -14,7 +14,7 @@ from fqzeta import (
     monic_polys,
     t_valuation,
 )
-from fqzeta.fqpoly import _mul_packed, _mul_schoolbook, poly_gcd
+from fqzeta.fqpoly import PackedSum, _mul_packed, _mul_schoolbook, poly_gcd
 
 import oracles
 
@@ -29,6 +29,19 @@ class TestMakeField:
     def test_rejects_composite(self):
         with pytest.raises(ValueError):
             make_field(4, 1)
+
+    def test_limb_capacity(self):
+        # accepted up to (p-1)^2 * f + p - 1 < 2^64, exact on the packed path
+        for p, f in ((65521, 1), (251, 2), (4294967291, 1)):
+            field = make_field(p, f)
+            a = Poly(field, [field.pp.q - 1] * 60)
+            assert _mul_packed(a, a).coeffs == oracles.naive_poly_mul_codes(
+                a.coeffs, a.coeffs, field
+            )
+        with pytest.raises(ValueError):
+            make_field(4294967311, 1)
+        with pytest.raises(ValueError):
+            make_field(3, 2**62)
 
     def test_registry_identity(self):
         assert make_field(3, 2) is make_field(3, 2)
@@ -121,7 +134,7 @@ class TestPolyBasics:
 class TestPolyMultiplicationRoutes:
     @settings(deadline=None, max_examples=60)
     @given(
-        st.sampled_from([2, 3, 4, 5, 8, 9]),
+        st.sampled_from([2, 3, 4, 5, 8, 9, 27, 257, 263, 63001, 65521]),
         st.integers(0, 2**32 - 1),
         st.integers(1, 80),
         st.integers(1, 80),
@@ -139,6 +152,35 @@ class TestPolyMultiplicationRoutes:
         assert school.coeffs == oracles.naive_poly_mul_codes(
             a.coeffs, b.coeffs, field
         )
+
+    def test_packed_sum_renormalizes_and_splits(self):
+        # q = 257 has 32-bit limbs and a bound of 2^16 per coefficient pair.
+        # 250 copies of a dense 300-slot square overflow a limb without a
+        # mid-way renormalization (250 * 300 * 2^16 > 2^32), and a sparse
+        # product of two 70000-slot operands exceeds the bound on its own,
+        # so the shorter operand is split.
+        field = field_from_q(257)
+        rng = random.Random(257)
+        dense = Poly(field, [256] * 300)
+        sparse = []
+        for _ in range(2):
+            coeffs = [0] * 70000
+            for i in rng.sample(range(69999), 8) + [69999]:
+                coeffs[i] = rng.randrange(1, 257)
+            sparse.append(Poly(field, coeffs))
+        pairs = [(dense, dense)] * 250 + [tuple(sparse)]
+        acc = PackedSum(field)
+        expected = Poly.zero(field)
+        products = {}
+        for a, b in pairs:
+            acc.add(a.packed(), b.packed())
+            key = (id(a), id(b))
+            if key not in products:
+                products[key] = Poly(
+                    field, oracles.naive_poly_mul_codes(a.coeffs, b.coeffs, field)
+                )
+            expected = expected + products[key]
+        assert Poly.from_packed(field, acc.value) == expected
 
     def test_valuation_additive(self, F9):
         rng = random.Random(3)

@@ -13,6 +13,7 @@ from fqzeta import (
     power_sum_valuation,
     vanishes,
 )
+from fqzeta import make_field
 from fqzeta.compose import HEAD
 from fqzeta.powersum import iter_index_tuples
 
@@ -35,6 +36,16 @@ class TestFormula:
             power_sum_formula(1, 0, F3)
         with pytest.raises(ValueError):
             power_sum_formula(1, 2, F3)
+
+    def test_large_prime_single_term(self):
+        # one index tuple, (p-1) = 0 + (p-1): S(1, -(p-1)) = -1
+        field = make_field(65521, 1)
+        assert power_sum_formula(1, -65520, field).value.coeffs == (65520,)
+
+    def test_split_guard(self):
+        field = field_from_q(257)
+        with pytest.raises(ResourceLimitError):
+            power_sum_formula(2, -66048, field)
 
     def test_coefficients_against_multinomials(self, F3):
         # each index tuple carries the mod-p multinomial of the target
@@ -95,6 +106,15 @@ class TestBruteForce:
             for k in range(1, 13):
                 assert table[k] == power_sum_bruteforce(2, -k, field).value
             assert table[0] == power_sum_bruteforce(2, 0, field).value
+
+    @pytest.mark.parametrize("q", [257, 263])
+    def test_table_matches_formula_past_limb_overflow(self, q):
+        # one coefficient product (p-1)^2 no longer fits a 16-bit limb;
+        # the first nonzero cells are k >= q - 1
+        field = field_from_q(q)
+        table = bruteforce_power_table(1, 300, field)
+        for k in range(1, 301):
+            assert table[k] == power_sum_formula(1, -k, field).value, k
 
 
 class TestValuationAndVanishing:
