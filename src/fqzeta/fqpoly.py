@@ -13,8 +13,9 @@ convolution exactly; limbs are then folded modulo m(x) and p.  Only this
 module knows that format.  Its limb width is per field: the smallest of
 16, 32 and 64 bits holding 256 coefficient products (p-1)^2 * f.  One
 overflow rule covers every packed product: canonical operands add at most
-(p-1)^2 * f * min(slots) to a limb, and ``PackedSum.add`` renormalizes or
-splits the shorter operand before any limb could overflow.  ``make_field``
+(p-1)^2 * f * min(slots) to a limb (an F_p-multiple c * t^j * a adds at
+most (p-1)^2), and ``PackedSum`` renormalizes, or splits the shorter
+operand, before any limb could overflow.  ``make_field``
 accepts exactly the fields with (p-1)^2 * f + p - 1 < 2^64, each exact on
 every packed path.  The schoolbook route is kept for small operands and
 serves as the independent reference in the test suite.  All arithmetic
@@ -24,6 +25,7 @@ is exact; there is no floating point anywhere in this module.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -44,7 +46,8 @@ __all__ = [
     "poly_gcd",
 ]
 
-_TABLE_LIMIT = 1024
+_TABLE_LIMIT = 1024  # f > 1 fields up to this q get q x q operation tables
+CACHE_LIMIT = 1 << 16  # entries in each cache that lives as long as the process
 _SCHOOLBOOK_CUTOFF = 2048
 _HEADROOM = 256  # coefficient products a limb of the chosen width holds
 
@@ -166,6 +169,7 @@ class FieldSpec:
         "_slot_bits",
         "_product_bound",
         "_chunk_slots",
+        "_prime",
         "_add",
         "_mul",
         "_neg",
@@ -190,10 +194,11 @@ class FieldSpec:
         self._slot_bits = self._limb_bits * self.pack_stride
         # longest operand piece whose product fits on top of a reduced limb
         self._chunk_slots = ((1 << self._limb_bits) - pp.p) // bound
-        if pp.q <= _TABLE_LIMIT:
+        # prime-field codes are residues mod p, with plain integer arithmetic
+        self._prime = pp.p if f == 1 else 0
+        self._add = self._mul = self._neg = self._inv = None
+        if f > 1 and pp.q <= _TABLE_LIMIT:
             self._build_tables()
-        else:
-            self._add = self._mul = self._neg = self._inv = None
 
     # -- code/coordinate conversions ------------------------------------
 
@@ -251,16 +256,22 @@ class FieldSpec:
     # -- public code arithmetic ------------------------------------------
 
     def add_codes(self, a: int, b: int) -> int:
+        if self._prime:
+            return (a + b) % self._prime
         if self._add is not None:
             return self._add[a][b]
         return self._add_coords(a, b)
 
     def mul_codes(self, a: int, b: int) -> int:
+        if self._prime:
+            return a * b % self._prime
         if self._mul is not None:
             return self._mul[a][b]
         return self._mul_coords(a, b)
 
     def neg_code(self, a: int) -> int:
+        if self._prime:
+            return -a % self._prime
         if self._neg is not None:
             return self._neg[a]
         return self.code_of([(-c) % self.pp.p for c in self.coords_of(a)])
@@ -268,6 +279,8 @@ class FieldSpec:
     def inv_code(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no inverse")
+        if self._prime:
+            return pow(a, -1, self._prime)
         if self._inv is not None:
             return self._inv[a]
         return self.pow_code(a, self.pp.q - 2)
@@ -317,9 +330,7 @@ class FieldSpec:
         return f"FieldSpec(q={self.pp.q}, modulus={self.modulus_text()})"
 
 
-_FIELD_REGISTRY: dict[tuple[int, int], FieldSpec] = {}
-
-
+@lru_cache(maxsize=CACHE_LIMIT)
 def make_field(p: int, f: int) -> FieldSpec:
     """Deterministic field for q = p^f.
 
@@ -327,23 +338,14 @@ def make_field(p: int, f: int) -> FieldSpec:
     degree f over F_p, coefficients compared low-to-high as a base-p
     integer; irreducibility is certified by trial division against every
     monic polynomial of degree at most f/2.  Raises ValueError when
-    (p-1)^2 * f + p - 1 does not fit a 64-bit limb.
+    (p-1)^2 * f + p - 1 does not fit a 64-bit limb.  Fields are cached
+    (CACHE_LIMIT entries); an evicted field is rebuilt equal by value.
     """
-    key = (p, f)
-    spec = _FIELD_REGISTRY.get(key)
-    if spec is None:
-        if (p - 1) ** 2 * f + p - 1 >> 64:
-            raise ValueError(f"q = {p}^{f}: (p-1)^2*f + p-1 exceeds a 64-bit limb")
-        pp = PrimePower(p, f)
-        modulus = None
-        for cand in _fp_monics(f, p):
-            if _fp_is_irreducible(cand, p):
-                modulus = cand
-                break
-        assert modulus is not None
-        spec = FieldSpec(pp, modulus)
-        _FIELD_REGISTRY[key] = spec
-    return spec
+    if (p - 1) ** 2 * f + p - 1 >> 64:
+        raise ValueError(f"q = {p}^{f}: (p-1)^2*f + p-1 exceeds a 64-bit limb")
+    pp = PrimePower(p, f)
+    modulus = next(cand for cand in _fp_monics(f, p) if _fp_is_irreducible(cand, p))
+    return FieldSpec(pp, modulus)
 
 
 def field_from_q(q: int) -> FieldSpec:
@@ -461,10 +463,11 @@ def _renorm_packed(n: int, field: FieldSpec) -> int:
 class PackedSum:
     """Exact running sum of products of canonical packed polynomials.
 
-    ``add`` is the one place packed integers are multiplied and summed.
-    ``load`` bounds every limb of ``value``; before a product could push a
-    limb past the limb width the sum is renormalized, and a product too
-    long to fit even then is taken in pieces of the shorter operand.
+    ``add`` and ``add_scaled`` are the one place packed integers are
+    multiplied and summed.  ``load`` bounds every limb of ``value``; before
+    a term could push a limb past the limb width the sum is renormalized,
+    and a product too long to fit even then is taken in pieces of the
+    shorter operand.
     """
 
     __slots__ = ("field", "value", "load")
@@ -488,6 +491,14 @@ class PackedSum:
         for shift in range(0, b.bit_length(), bits):
             self._reserve(fs._product_bound * fs._chunk_slots)
             self.value += (a * (b >> shift & (1 << bits) - 1)) << shift
+        return self
+
+    def add_scaled(self, a: int, c: int, j: int) -> "PackedSum":
+        """Add c * t^j * a for canonical packed a and c in [0, p)."""
+        if a and c:
+            p1 = self.field.pp.p - 1
+            self._reserve(p1 * p1)
+            self.value += c * a << j * self.field._slot_bits
         return self
 
     def _reserve(self, bound: int) -> None:

@@ -26,8 +26,13 @@ from typing import Iterator, Optional, Union
 
 from .digitlab import PrimePower, vanishing_threshold
 from .errors import PreconditionError, ResourceLimitError, VanishingMismatchError
-from .fqpoly import INF, FieldSpec, PackedSum, Poly, RationalFn
-from .powersum import power_sum_bruteforce, power_sum_formula, power_sum_valuation
+from .fqpoly import CACHE_LIMIT, INF, FieldSpec, PackedSum, Poly, RationalFn
+from .powersum import (
+    power_sum_bruteforce,
+    power_sum_formula,
+    power_sum_packed,
+    power_sum_valuation,
+)
 
 __all__ = [
     "NONZERO",
@@ -110,7 +115,7 @@ class ZetaResult:
         }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_LIMIT)
 def _threshold_floor(k: int, q: PrimePower) -> int:
     return floor(vanishing_threshold(k, q))
 
@@ -161,9 +166,10 @@ def zeta_valuation(s: tuple[int, ...], q: PrimePower) -> int:
 class _NegativeEngine:
     """Shared caches for exact all-negative evaluation.
 
-    Stores packed power-sum polynomials keyed by (d, k) and, per prefix
-    length, the suffix-sum tables of the last prefix seen, so that a
-    lexicographic sweep reuses all shared prefixes.
+    Stores packed power-sum polynomials keyed by (d, k), which is also the
+    memo of the power-sum recurrence, and, per prefix length, the
+    suffix-sum tables of the last prefix seen, so that a lexicographic
+    sweep reuses all shared prefixes.
     """
 
     def __init__(self, field: FieldSpec):
@@ -172,11 +178,9 @@ class _NegativeEngine:
         self._levels: dict[int, tuple[tuple[int, ...], list[int]]] = {}
 
     def s_packed(self, d: int, k: int) -> int:
-        key = (d, k)
-        cached = self._s_packed.get(key)
+        cached = self._s_packed.get((d, k))
         if cached is None:
-            cached = power_sum_formula(d, -k, self.field).value.packed()
-            self._s_packed[key] = cached
+            cached = power_sum_packed(d, k, self.field, self._s_packed)
         return cached
 
     def suffix_table(self, prefix: tuple[int, ...]) -> list[int]:

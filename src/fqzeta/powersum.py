@@ -1,30 +1,34 @@
 """Power sums over monic polynomials of fixed degree.
 
 S(d, s) is the sum of a^(-s) over the q^d monic polynomials a of degree d
-in t.  For s < 0 it is a polynomial in t and admits a digit-combinatorial
-expansion: a sum over head-free carry-free compositions (m_0, ..., m_d)
-of -s with q-even positive interior, each contributing the multinomial
-coefficient of -s over the parts reduced mod p (a product of digit-column
-multinomials, all nonzero because the composition is carry-free) times
-t to the weight d*m_0 + (d-1)*m_1 + ... + m_{d-1}, the whole sum carrying
-the sign (-1)^d.
+in t.  For s < 0 it is a polynomial in t.  Writing a = t*b + c with b
+monic of degree d-1 and c in F_q, and summing c^m over F_q (-1 when m > 0
+is a multiple of q-1, else 0), gives the one-part recurrence
 
-Both the expansion and the literal summation are implemented; the test
-and verification suites require them to agree coefficient for
-coefficient.
+    S_d(-k) = -sum C(k, j) t^j S_{d-1}(-j),   S_0 = 1,
+
+over j < k with (q-1) | (k-j); by Lucas' theorem only the base-p digit
+submasks j of k contribute.  It is the formula route.  Unrolled, it is
+the digit-combinatorial expansion: a sum over head-free carry-free
+compositions (m_0, ..., m_d) of -s with q-even positive interior, each
+contributing the multinomial coefficient of -s over the parts mod p
+times t to the weight d*m_0 + (d-1)*m_1 + ... + m_{d-1}, with the sign
+(-1)^d.  The verification and test suites check the recurrence against
+that expansion and against the literal summation.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, prod
-from typing import Iterator, Union
+from typing import Union
 
 from .compose import HEAD, modest
 from .digitlab import PrimePower, base_digits, vanishing_threshold
 from .errors import ResourceLimitError
-from .fqpoly import INF, FieldSpec, PackedSum, Poly, RationalFn, monic_polys
+from .fqpoly import CACHE_LIMIT, INF, FieldSpec, PackedSum, Poly, RationalFn, monic_polys
 
 __all__ = [
     "PowerSumResult",
@@ -37,8 +41,8 @@ __all__ = [
 ]
 
 BRUTE_FORCE_LIMIT = 1_000_000
-# digit splits the formula route may walk; the suites and the benchmark
-# reach at most 8^7 (q = 2, k in {127, 191}, d = 7)
+# recurrence terms the formula route may take (see power_sum_packed); the
+# suites and the benchmark stay below 10^5
 FORMULA_SPLIT_LIMIT = 10_000_000
 
 
@@ -71,97 +75,69 @@ class PowerSumResult:
         }
 
 
-def _compositions(total: int, slots: int) -> Iterator[tuple[int, ...]]:
-    if slots == 1:
-        yield (total,)
-        return
-    for y in range(total + 1):
-        for rest in _compositions(total - y, slots - 1):
-            yield (y,) + rest
+def power_sum_packed(
+    d: int, k: int, field: FieldSpec, memo: dict[tuple[int, int], int]
+) -> int:
+    """S(d, -k) for k >= 0 as a canonical packed polynomial.
 
-
-def iter_index_tuples(
-    k: int, d: int, q: PrimePower
-) -> Iterator[tuple[tuple[int, ...], int, int]]:
-    """Stream (parts, weight, multinomial mod p) over the head-free index
-    set of k with d+1 parts.
-
-    Enumerates by distributing each base-p digit of k among the parts, so
-    carry-freeness is structural and every multinomial coefficient is a
-    product of digit-column multinomials, each nonzero mod p.  Raises
-    ResourceLimitError first when the digit splits, the product of
-    C(a + d, d) over the digits a, exceed FORMULA_SPLIT_LIMIT.
+    Evaluates the one-part recurrence
+    S_d(-k) = -sum C(k, j) t^j S_{d-1}(-j), S_0 = 1, over the base-p digit
+    submasks j < k of k with (q-1) | (k-j).  ``memo`` maps (d, j) to packed
+    S(d, -j); the caller owns it and the result does not depend on it.
+    Raises ResourceLimitError first when the work bound, the product of
+    (a + 1) plus d - 1 times the product of C(a + 2, 2) over the base-p
+    digits a of k, exceeds FORMULA_SPLIT_LIMIT.
     """
-    p = q.p
-    qeven_mod = q.q - 1
+    p, qm = field.pp.p, field.pp.q - 1
     digits = base_digits(k, p)
-    splits = prod(comb(a + d, d) for a in digits)
-    if splits > FORMULA_SPLIT_LIMIT:
+    work = prod(a + 1 for a in digits) + (d - 1) * prod(comb(a + 2, 2) for a in digits)
+    if work > FORMULA_SPLIT_LIMIT:
         raise ResourceLimitError(
-            f"{splits} digit splits exceed the formula-route guard {FORMULA_SPLIT_LIMIT}"
+            f"work bound {work} exceeds the formula-route guard {FORMULA_SPLIT_LIMIT}"
         )
-    positions = [(j, a, p**j) for j, a in enumerate(digits) if a]
-    # factorials mod p up to the largest digit are units mod p
+    # C(k, j) mod p by Lucas; every digit of every j is at most a digit of k
     fact = [1] * (max(digits, default=0) + 1)
     for i in range(2, len(fact)):
         fact[i] = fact[i - 1] * i % p
     inv_fact = [pow(x, -1, p) for x in fact]
-    parts = [0] * (d + 1)
 
-    def rec(idx: int, coeff: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
-        if idx == len(positions):
-            for i in range(1, d + 1):
-                m = parts[i]
-                if m == 0 or m % qeven_mod != 0:
-                    return
-            w = sum((d - i) * parts[i] for i in range(d))
-            yield tuple(parts), w, coeff
-            return
-        _, a, pw = positions[idx]
-        for split in _compositions(a, d + 1):
-            mult = fact[a]
-            for y in split:
-                mult *= inv_fact[y]
-            for i, y in enumerate(split):
-                if y:
-                    parts[i] += y * pw
-            yield from rec(idx + 1, (coeff * mult) % p)
-            for i, y in enumerate(split):
-                if y:
-                    parts[i] -= y * pw
+    def node(d: int, k: int) -> int:
+        value = memo.get((d, k))
+        if value is not None:
+            return value
+        if d == 0:
+            value = 1
+        else:
+            run = PackedSum(field)
+            ds = base_digits(k, p)
+            for bs in itertools.product(*(range(a + 1) for a in ds)):
+                j = 0
+                for b in reversed(bs):
+                    j = j * p + b
+                if j == k or (k - j) % qm:
+                    continue
+                sub = node(d - 1, j)
+                if sub:
+                    c = 1
+                    for a, b in zip(ds, bs):
+                        c = c * fact[a] * inv_fact[b] * inv_fact[a - b] % p
+                    run.add_scaled(sub, p - c, j)
+            value = run.canonical()
+        memo[(d, k)] = value
+        return value
 
-    yield from rec(0, 1)
+    return node(d, k)
 
 
 def power_sum_formula(d: int, s: int, field: FieldSpec) -> PowerSumResult:
-    """Digit-combinatorial evaluation of S(d, s) for s < 0.
-
-    An empty index set yields the zero polynomial.  Distinct compositions
-    can share a weight, so coefficients are accumulated per exponent; only
-    the extreme degrees are guaranteed collision-free.
-    """
+    """Evaluation of S(d, s) for s < 0 by the one-part recurrence
+    (``power_sum_packed``) with a fresh memo."""
     if s >= 0:
         raise ValueError("power_sum_formula requires s < 0")
     if d < 0:
         raise ValueError("d must be non-negative")
-    pp = field.pp
-    if d == 0:
-        return PowerSumResult(field, d, s, "formula", Poly.one(field))
-    k = -s
-    sign = 1 if d % 2 == 0 else pp.p - 1
-    acc: dict[int, int] = {}
-    add = field.add_codes
-    for _, w, coeff in iter_index_tuples(k, d, pp):
-        c = (sign * coeff) % pp.p
-        prev = acc.get(w, 0)
-        acc[w] = add(prev, c)
-    if acc:
-        coeffs = [0] * (max(acc) + 1)
-        for w, c in acc.items():
-            coeffs[w] = c
-    else:
-        coeffs = []
-    return PowerSumResult(field, d, s, "formula", Poly(field, coeffs))
+    value = Poly.from_packed(field, power_sum_packed(d, -s, field, {}))
+    return PowerSumResult(field, d, s, "formula", value)
 
 
 def power_sum_bruteforce(
@@ -223,7 +199,7 @@ def bruteforce_power_table(
     return [Poly.from_packed(field, s.value) for s in acc]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_LIMIT)
 def power_sum_valuation(d: int, s: int, q: PrimePower):
     """t-valuation of S(d, s) for s < 0, computed structurally.
 

@@ -746,7 +746,8 @@ def run_power_sum_suite(
                 for k in range(1, kmax + 1):
                     minw = maxw = None
                     min_count = max_count = 0
-                    for _, w, _ in powersum.iter_index_tuples(k, d, pp):
+                    for comp in compose.enumerate_head_free(k, d, pp):
+                        w = comp.weight
                         if minw is None or w < minw:
                             minw, min_count = w, 1
                         elif w == minw:
@@ -784,12 +785,7 @@ def run_power_sum_suite(
             pp = PrimePower.from_q(q)
             for d in range(0, dmax + 1):
                 for k in range(1, kmax + 1):
-                    empty = (
-                        next(iter(powersum.iter_index_tuples(k, d, pp)), None)
-                        is None
-                        if d > 0
-                        else False
-                    )
+                    empty = d > 0 and not compose.enumerate_head_free(k, d, pp)
                     poly = formula_cache.get((q, d, k))
                     if poly is None:
                         poly = powersum.power_sum_formula(

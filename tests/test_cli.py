@@ -43,6 +43,44 @@ class TestPowersumCommand:
         assert code == 0
         assert "agreement: AGREE" in out
 
+    def test_readme_both_golden_text(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "powersum", "--q", "3", "--d", "1", "--s", "-8",
+            "--method", "both",
+        )
+        assert code == 0
+        assert out == (
+            "# fqzeta 0.1.0\n"
+            "# q=3 p=3 f=1 modulus=x\n"
+            "S(1, -8) [formula] = 2*t^6+2*t^4+2*t^2+2  valuation=0\n"
+            "S(1, -8) [bruteforce] = 2*t^6+2*t^4+2*t^2+2  valuation=0\n"
+            "agreement: AGREE\n"
+        )
+
+    def test_readme_both_golden_json(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "powersum", "--q", "3", "--d", "1", "--s", "-8",
+            "--method", "both", "--format", "json",
+        )
+        assert code == 0
+        expected = [
+            {
+                "q": 3,
+                "p": 3,
+                "f": 1,
+                "modulus": "x",
+                "d": 1,
+                "s": -8,
+                "method": method,
+                "value": "2*t^6+2*t^4+2*t^2+2",
+                "valuation": 0,
+            }
+            for method in ("formula", "bruteforce")
+        ] + [{"agreement": True}]
+        assert out == json.dumps(expected, indent=2) + "\n"
+
     def test_json(self, capsys):
         code, out, _ = run(
             capsys,
@@ -70,7 +108,8 @@ class TestPowersumCommand:
         assert "resource" in err
 
     def test_formula_guard_exit_code(self, capsys):
-        # digits (256, 256) base 257: C(258, 2)^2 ~ 1.1e9 digit splits
+        # digits (256, 256) base 257: the recurrence's work bound
+        # 257^2 + C(258, 2)^2 ~ 1.1e9 exceeds the guard
         code, _, err = run(
             capsys, "powersum", "--q", "257", "--d", "2", "--s", "-66048"
         )

@@ -14,7 +14,9 @@ from fqzeta import (
     monic_polys,
     t_valuation,
 )
-from fqzeta.fqpoly import PackedSum, _mul_packed, _mul_schoolbook, poly_gcd
+from fqzeta.fqpoly import CACHE_LIMIT, PackedSum, _mul_packed, _mul_schoolbook, poly_gcd
+from fqzeta.mzv import _threshold_floor
+from fqzeta.powersum import power_sum_valuation
 
 import oracles
 
@@ -47,6 +49,18 @@ class TestMakeField:
         assert make_field(3, 2) is make_field(3, 2)
         assert field_from_q(9) is make_field(3, 2)
 
+    def test_process_caches_bounded(self):
+        for cached in (make_field, power_sum_valuation, _threshold_floor):
+            assert cached.cache_info().maxsize == CACHE_LIMIT
+
+    def test_evicted_field_rebuilt_equal(self):
+        old = make_field(3, 2)
+        a = Poly(old, (1, 2, 3))
+        make_field.cache_clear()
+        new = make_field(3, 2)
+        assert new is not old and new == old
+        assert a * Poly(new, (4, 5)) == Poly(old, (4, 5)) * a
+
 
 class TestFieldElement:
     @settings(deadline=None, max_examples=150)
@@ -69,6 +83,21 @@ class TestFieldElement:
         assert x + (-x) == field.zero
         if y:
             assert y * y.inverse() == field.one
+
+    @pytest.mark.parametrize("q", [2, 3, 257, 1021])
+    def test_prime_field_ops_match_coordinates(self, q):
+        field = field_from_q(q)
+        assert field._add is None and field._mul is None
+        rng = random.Random(q)
+        for _ in range(300):
+            a, b = rng.randrange(q), rng.randrange(q)
+            assert field.add_codes(a, b) == field._add_coords(a, b)
+            assert field.mul_codes(a, b) == field._mul_coords(a, b)
+            neg = field.code_of([-c for c in field.coords_of(a)])
+            assert field.neg_code(a) == neg
+            if a:
+                inv = field.inv_code(a)
+                assert 0 < inv < q and field._mul_coords(a, inv) == 1
 
     def test_frobenius_additive(self):
         rng = random.Random(5)
@@ -180,6 +209,27 @@ class TestPolyMultiplicationRoutes:
                     field, oracles.naive_poly_mul_codes(a.coeffs, b.coeffs, field)
                 )
             expected = expected + products[key]
+        assert Poly.from_packed(field, acc.value) == expected
+
+    @pytest.mark.parametrize("q", [9, 257])
+    def test_packed_sum_add_scaled(self, q):
+        # eight overlapping terms c * t^j * a with coordinates p-1 and c
+        # near p-1, 10^4 times over, put about 8 * 10^4 * (p-1)^2 on the
+        # middle limbs: far past a 16-bit limb at q = 9 and a 32-bit limb
+        # at q = 257, so the sum must renormalize on the way
+        field = field_from_q(q)
+        p = field.pp.p
+        base = Poly(field, [q - 1] * 12 + [1])
+        terms = [(base, p - 1 - i % 2, i) for i in range(8)]
+        rounds = 10_000
+        acc = PackedSum(field)
+        for _ in range(rounds):
+            for a, c, j in terms:
+                acc.add_scaled(a.packed(), c, j)
+        expected = Poly.zero(field)
+        for a, c, j in terms:
+            scaled = oracles.naive_poly_mul_codes(a.coeffs, (c * rounds % p,), field)
+            expected = expected + Poly(field, (0,) * j + scaled)
         assert Poly.from_packed(field, acc.value) == expected
 
     def test_valuation_additive(self, F9):

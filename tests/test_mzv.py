@@ -203,6 +203,23 @@ class TestSweep:
         for r in results:
             assert r.value == one_shot[r.index.s]
 
+    @pytest.mark.parametrize(
+        "q, depth, smin", [(2, 3, -8), (2, 2, -30), (9, 2, -40)]
+    )
+    def test_shared_engine_matches_fresh_evaluations(self, q, depth, smin):
+        # one engine memoizes S(d, -k) for every d the sweep reaches; each
+        # tuple evaluated on its own must give the same value
+        field = field_from_q(q)
+        results = list(sweep_negative(field, depth, smin))
+        assert len(results) == (-smin) ** depth
+        assert any(not r.value.is_zero for r in results)
+        for r in results:
+            fresh = zeta_negative(r.index.s, field)
+            assert (r.value, r.classification) == (fresh.value, fresh.classification)
+
+    def test_readme_example(self):
+        assert zeta_negative((-8, -2), field_from_q(9)).classification == NONZERO
+
     def test_json_record_shape(self, F3):
         res = zeta_negative((-2, -1), F3)
         rec = res.to_json_dict()

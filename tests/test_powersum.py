@@ -14,8 +14,7 @@ from fqzeta import (
     vanishes,
 )
 from fqzeta import make_field
-from fqzeta.compose import HEAD
-from fqzeta.powersum import iter_index_tuples
+from fqzeta.compose import HEAD, enumerate_head_free
 
 import oracles
 
@@ -47,13 +46,28 @@ class TestFormula:
         with pytest.raises(ResourceLimitError):
             power_sum_formula(2, -66048, field)
 
-    def test_coefficients_against_multinomials(self, F3):
-        # each index tuple carries the mod-p multinomial of the target
-        for d in (1, 2):
-            for k in (4, 8, 10):
-                for parts, w, coeff in iter_index_tuples(k, d, F3.pp):
-                    assert coeff == oracles.naive_multinomial_mod(k, parts, 3)
-                    assert coeff != 0
+    def test_coefficients_against_expansion(self):
+        # the t^w coefficient is (-1)^d times the sum of the mod-p
+        # multinomials of the head-free compositions of weight w
+        for q in (3, 4, 9):
+            field = field_from_q(q)
+            p = field.pp.p
+            for d in (1, 2, 3):
+                for k in range(1, 41):
+                    expected: dict[int, int] = {}
+                    for comp in enumerate_head_free(k, d, field.pp):
+                        coeff = oracles.naive_multinomial_mod(k, comp.parts, p)
+                        assert coeff != 0
+                        w = comp.weight
+                        expected[w] = expected.get(w, 0) + coeff
+                    sign = (-1) ** d
+                    got = power_sum_formula(d, -k, field).value.coeffs
+                    assert {w: c for w, c in enumerate(got) if c} == {
+                        w: sign * c % p for w, c in expected.items() if c % p
+                    }, (q, d, k)
+
+    def test_readme_example(self):
+        assert power_sum_formula(2, -10, field_from_q(9)).value.text() == "0"
 
     def test_json_record(self, F3):
         rec = power_sum_formula(2, -8, F3).to_json_dict()
@@ -115,6 +129,38 @@ class TestBruteForce:
         table = bruteforce_power_table(1, 300, field)
         for k in range(1, 301):
             assert table[k] == power_sum_formula(1, -k, field).value, k
+
+
+class TestAwkwardFields:
+    # q = 2; f = 3 over p = 2 and over p = 3; p = 257, whose coefficient
+    # product (p-1)^2 needs 32-bit limbs.  (d, kmax) keep q^d * kmax small.
+    @pytest.mark.parametrize(
+        "q, ranges",
+        [
+            (2, ((1, 200), (2, 200), (3, 200))),
+            (8, ((1, 200), (2, 120), (3, 40))),
+            (27, ((1, 200), (2, 80))),
+            (257, ((1, 600),)),
+        ],
+    )
+    def test_formula_matches_table(self, q, ranges):
+        field = field_from_q(q)
+        nonzero = 0
+        for d, kmax in ranges:
+            table = bruteforce_power_table(d, kmax, field)
+            for k in range(1, kmax + 1):
+                value = power_sum_formula(d, -k, field).value
+                assert value == table[k], (d, k)
+                nonzero += not value.is_zero
+        assert nonzero
+
+    def test_formula_matches_bruteforce_depth_three_q27(self):
+        field = field_from_q(27)
+        for k in (1, 2):
+            assert (
+                power_sum_formula(3, -k, field).value
+                == power_sum_bruteforce(3, -k, field).value
+            )
 
 
 class TestValuationAndVanishing:
