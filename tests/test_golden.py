@@ -1,0 +1,135 @@
+"""Golden outputs of the README CLI examples and of a small verify run.
+
+Every expected value here was taken from the CLI before the sweep and
+verify code paths were consolidated; the outputs must stay byte-identical.
+"""
+
+import hashlib
+import json
+import re
+
+import pytest
+
+from fqzeta.cli import main
+
+BANNER = "# fqzeta 0.1.0\n"
+HEADER_Q3 = "# q=3 p=3 f=1 modulus=x\n"
+HEADER_Q9 = "# q=9 p=3 f=2 modulus=x^2+1\n"
+
+
+def run(capsys, *argv):
+    code = main(list(argv))
+    out = capsys.readouterr()
+    assert code == 0, out.err
+    return out.out
+
+
+def _zeta_record(s, classification):
+    return {
+        "q": 3,
+        "p": 3,
+        "f": 1,
+        "modulus": "x",
+        "s": list(s),
+        "depth": len(s),
+        "value": "0",
+        "valuation": "inf",
+        "classification": classification,
+        "exact": True,
+    }
+
+
+# (argv, text stdout, JSON payload of --format json)
+README_EXAMPLES = [
+    (
+        ("powersum", "--q", "3", "--d", "2", "--s", "-8"),
+        BANNER + HEADER_Q3 + "S(2, -8) [formula] = t^6+t^4+t^2  valuation=2\n",
+        [
+            {
+                "q": 3,
+                "p": 3,
+                "f": 1,
+                "modulus": "x",
+                "d": 2,
+                "s": -8,
+                "method": "formula",
+                "value": "t^6+t^4+t^2",
+                "valuation": 2,
+            }
+        ],
+    ),
+    (
+        ("mzv", "--q", "3", "--s", "-8,2"),
+        BANNER
+        + HEADER_Q3
+        + "zeta(-8, 2) = 0\n"
+        + "valuation=inf  classification=not_applicable  exact=True\n",
+        _zeta_record((-8, 2), "not_applicable"),
+    ),
+    (
+        ("mzv", "--q", "3", "--s", "-1,-2"),
+        BANNER
+        + HEADER_Q3
+        + "zeta(-1, -2) = 0\n"
+        + "valuation=inf  classification=trivial_zero  exact=True\n",
+        _zeta_record((-1, -2), "trivial_zero"),
+    ),
+    (
+        ("compositions", "--q", "9", "--N", "131", "--d", "2", "--what", "matrices"),
+        BANNER + HEADER_Q9 + "[[2, 3], [2, 0]]\n[[5, 0], [1, 1]]\n",
+        [{"rows": [[2, 3], [2, 0]]}, {"rows": [[5, 0], [1, 1]]}],
+    ),
+    (
+        ("compositions", "--q", "3", "--k", "8", "--d", "1", "--what", "modest"),
+        BANNER + HEADER_Q3 + "(0, 8) weight=0\n",
+        [{"parts": [0, 8], "weight": 0}],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, text, payload",
+    README_EXAMPLES,
+    ids=["powersum", "mzv-mixed", "mzv-trivial", "matrices", "modest"],
+)
+class TestReadmeExamples:
+    def test_text(self, capsys, argv, text, payload):
+        assert run(capsys, *argv) == text
+
+    def test_json(self, capsys, argv, text, payload):
+        out = run(capsys, *argv, "--format", "json")
+        assert out == json.dumps(payload, indent=2) + "\n"
+
+
+# sha256 of the stdout of `fqzeta sweep --q 2,3 --depth 2 --smin -20`
+SWEEP_SHA256 = {
+    "csv": "addd00fafb57da025c189688d06d145ba9c4713878264ac5edb1d455fdc1565d",
+    "json": "83d9fe0fb4031906371a2c64018540fb2aa6189a90ba8762ad9f606dceec3d67",
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "4"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_readme_sweep_digest(capsys, fmt, jobs):
+    out = run(
+        capsys,
+        "sweep", "--q", "2,3", "--depth", "2", "--smin", "-20",
+        "--format", fmt, "--jobs", jobs,
+    )
+    assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_SHA256[fmt]
+
+
+VERIFY_MZV_LINES = [
+    "PASS mixed-sign-example: all displayed identities reproduced exactly",
+    "PASS trivial-zero-equivalence: 2304 tuples evaluated exactly, 1856 zeros, "
+    "all zeros trivial, zero mismatch errors",
+    "PASS valuation-additivity: 448 nonzero tuples match the additive valuation",
+    "PASS depth-one-parity: 1 <= -s <= 20, vanishing iff q-even",
+    "4/4 checks passed",
+]
+
+
+def test_verify_mzv_lines(capsys):
+    out = run(capsys, "verify", "--suite", "mzv", "--smin", "-8", "--goss-kmax", "20")
+    lines = [re.sub(r" \[\d+ ms\]$", "", line) for line in out.splitlines()]
+    assert lines == VERIFY_MZV_LINES
