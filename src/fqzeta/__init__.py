@@ -9,13 +9,13 @@ The package is organized as:
 * fqpoly    - exact arithmetic in F_q, F_q[t] and F_q(t);
 * powersum  - power sums over monics by two independent routes;
 * mzv       - multizeta evaluation, vanishing classification, sweeps;
-* verify    - the named verification suites driven by tests and the CLI;
+* verify    - the named verification suites driven by tests and the CLI,
+  with the brute-force oracles they check the structural routes against;
 * cli       - the fqzeta command-line tool.
 """
 
 from .digitlab import (
     ClassVector,
-    DigitVector,
     FracVector,
     PrimePower,
     capacity_equals,
@@ -34,7 +34,6 @@ from .digitlab import (
 from .compose import (
     ClassMatrix,
     Composition,
-    PowerClasses,
     enumerate_head_free,
     enumerate_tail_free,
     greedy,
@@ -62,7 +61,6 @@ from .fqpoly import (
     field_from_q,
     make_field,
     monic_polys,
-    t_valuation,
 )
 from .mzv import (
     ZetaIndex,

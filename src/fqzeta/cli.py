@@ -16,7 +16,6 @@ import io
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import __version__, compose, mzv, powersum, verify
@@ -41,14 +40,6 @@ class _Parser(argparse.ArgumentParser):
     # mathematical disagreement, so usage errors are remapped to 1
     def error(self, message: str):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-@dataclass
-class RunConfig:
-    field: FieldSpec
-    fmt: str
-    out: Optional[str]
-    banner: bool
 
 
 def _resolve_field(args) -> FieldSpec:
@@ -254,16 +245,8 @@ _CSV_COLUMNS = (
 
 def _sweep_chunk(task: tuple[int, int, int, int, int]) -> list[dict]:
     q, depth, smin, smax, s1 = task
-    field = field_from_q(q)
-    engine = mzv._NegativeEngine(field)
-    rows = []
-    import itertools as it
-
-    for tail in it.product(range(smin, smax + 1), repeat=depth - 1):
-        s = (s1,) + tail
-        res = mzv.zeta_negative(s, field, _engine=engine)
-        rows.append(res.to_json_dict())
-    return rows
+    sweep = mzv.sweep_negative(field_from_q(q), depth, smin, smax, prefix=(s1,))
+    return [res.to_json_dict() for res in sweep]
 
 
 def _cmd_sweep(args) -> int:

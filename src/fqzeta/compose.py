@@ -19,8 +19,8 @@ work by digit sums rather than by the size of the target, and inside one
 matrix class the "monotone representative" (largest p-powers to the
 earliest parts, per digit class) is simultaneously the lexicographically
 largest and the unique minimum-weight member, which gives fast structural
-routes to the greedy, modest and optimal compositions.  Full enumeration
-is kept alongside as the independent oracle.
+routes to the greedy, modest and optimal compositions.  The selections
+made from the full enumeration, their independent oracle, live in verify.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from .errors import EmptySetError, ResourceLimitError
 __all__ = [
     "Composition",
     "ClassMatrix",
-    "PowerClasses",
     "HEAD",
     "TAIL",
     "power_classes",
@@ -56,9 +55,6 @@ __all__ = [
     "greedy",
     "modest",
     "optimal_set",
-    "greedy_by_enumeration",
-    "modest_by_enumeration",
-    "optimal_set_by_enumeration",
 ]
 
 HEAD = "head"
@@ -111,17 +107,6 @@ class Composition:
         kind = TAIL if self.kind == HEAD else HEAD
         return Composition(self.q, self.parts[::-1], kind, self.target)
 
-    def class_columns(self) -> tuple[tuple[int, ...], ...]:
-        """Digit class vector of each part (zero vector for zero parts)."""
-        f = self.q.f
-        cols = []
-        for part in self.parts:
-            if part == 0:
-                cols.append((0,) * f)
-            else:
-                cols.append(digit_class_vector(part, self.q).entries)
-        return tuple(cols)
-
 
 @dataclass(frozen=True)
 class ClassMatrix:
@@ -131,10 +116,6 @@ class ClassMatrix:
     q: PrimePower
     columns: tuple[tuple[int, ...], ...]
     target: int
-
-    @property
-    def parts_count(self) -> int:
-        return len(self.columns)
 
     def rows(self) -> tuple[tuple[int, ...], ...]:
         """Row-major view (one row per digit class), as usually displayed."""
@@ -153,28 +134,16 @@ class ClassMatrix:
         return True
 
 
-@dataclass(frozen=True)
-class PowerClasses:
-    """Non-increasing p-power values of a positive integer, split by the
-    residue class (mod f) of the exponent."""
-
-    q: PrimePower
-    target: int
-    sequences: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def from_integer(cls, n: int, q: PrimePower) -> "PowerClasses":
-        if n <= 0:
-            raise ValueError("n must be positive")
-        seqs: list[list[int]] = [[] for _ in range(q.f)]
-        digits = base_digits(n, q.p)
-        for j in range(len(digits) - 1, -1, -1):
-            seqs[j % q.f].extend([q.p**j] * digits[j])
-        return cls(q, n, tuple(tuple(s) for s in seqs))
-
-
-def power_classes(n: int, q: PrimePower) -> PowerClasses:
-    return PowerClasses.from_integer(n, q)
+def power_classes(n: int, q: PrimePower) -> tuple[tuple[int, ...], ...]:
+    """Non-increasing p-power values of a positive integer n, one sequence
+    per residue class (mod f) of the exponent."""
+    if n <= 0:
+        raise ValueError("n must be positive")
+    seqs: list[list[int]] = [[] for _ in range(q.f)]
+    digits = base_digits(n, q.p)
+    for j in range(len(digits) - 1, -1, -1):
+        seqs[j % q.f].extend([q.p**j] * digits[j])
+    return tuple(tuple(s) for s in seqs)
 
 
 def _even_dot(q: PrimePower, entries: Sequence[int]) -> bool:
@@ -184,12 +153,12 @@ def _even_dot(q: PrimePower, entries: Sequence[int]) -> bool:
     return dot % (q.q - 1) == 0
 
 
-def _digit_guard(n: int, q: PrimePower, digit_limit: int) -> None:
+def _digit_guard(n: int, q: PrimePower) -> None:
     total = sum(base_digits(n, q.p))
-    if total > digit_limit:
+    if total > DIGIT_SUM_LIMIT:
         raise ResourceLimitError(
             f"base-{q.p} digit sum of {n} is {total}, above the limit "
-            f"{digit_limit}; raise digit_limit explicitly to proceed"
+            f"{DIGIT_SUM_LIMIT}"
         )
 
 
@@ -220,9 +189,7 @@ def _iter_columns(
             yield (cand,) + tail
 
 
-def valid_class_matrices(
-    n: int, d: int, q: PrimePower, digit_limit: int = DIGIT_SUM_LIMIT
-) -> tuple[ClassMatrix, ...]:
+def valid_class_matrices(n: int, d: int, q: PrimePower) -> tuple[ClassMatrix, ...]:
     """All d-column class matrices for tail-free compositions of n.
 
     Columns sum to the digit class vector of n and all but the last are
@@ -230,7 +197,7 @@ def valid_class_matrices(
     """
     if n <= 0 or d <= 0:
         raise ValueError("need n >= 1 and d >= 1")
-    _digit_guard(n, q, digit_limit)
+    _digit_guard(n, q)
     total = digit_class_vector(n, q).entries
     mats = [
         ClassMatrix(q, cols, n) for cols in _iter_columns(total, d, q)
@@ -244,7 +211,7 @@ def _monotone_parts(
 ) -> tuple[int, ...]:
     # Assign, inside every digit class, the largest available p-powers to
     # the earliest columns; the per-class counts are the column entries.
-    classes = power_classes(n, q).sequences
+    classes = power_classes(n, q)
     parts = [0] * len(columns)
     for c in range(q.f):
         seq = classes[c]
@@ -321,28 +288,19 @@ def _iter_matrix_expansion(
         yield tuple(sum(vals) for vals in zip(*pick))
 
 
-def iter_tail_free_parts(
-    n: int,
-    d: int,
-    q: PrimePower,
-    digit_limit: int = DIGIT_SUM_LIMIT,
-) -> Iterator[tuple[int, ...]]:
+def iter_tail_free_parts(n: int, d: int, q: PrimePower) -> Iterator[tuple[int, ...]]:
     """Lazily yield the part tuples of every tail-free composition."""
-    for matrix in valid_class_matrices(n, d, q, digit_limit):
+    for matrix in valid_class_matrices(n, d, q):
         yield from _iter_matrix_expansion(matrix)
 
 
 def enumerate_tail_free(
-    n: int,
-    d: int,
-    q: PrimePower,
-    digit_limit: int = DIGIT_SUM_LIMIT,
-    max_results: int = ENUMERATION_LIMIT,
+    n: int, d: int, q: PrimePower, max_results: int = ENUMERATION_LIMIT
 ) -> tuple[Composition, ...]:
     """The complete set of tail-free compositions of n with d parts,
     sorted lexicographically on parts."""
     out = []
-    for parts in iter_tail_free_parts(n, d, q, digit_limit):
+    for parts in iter_tail_free_parts(n, d, q):
         out.append(parts)
         if len(out) > max_results:
             raise ResourceLimitError(
@@ -353,11 +311,7 @@ def enumerate_tail_free(
 
 
 def enumerate_head_free(
-    k: int,
-    d: int,
-    q: PrimePower,
-    digit_limit: int = DIGIT_SUM_LIMIT,
-    max_results: int = ENUMERATION_LIMIT,
+    k: int, d: int, q: PrimePower, max_results: int = ENUMERATION_LIMIT
 ) -> tuple[Composition, ...]:
     """The complete head-free index set for the degree-d power sum at
     exponent -k: d+1 parts, head unconstrained; sorted on parts.
@@ -371,7 +325,7 @@ def enumerate_head_free(
     if d == 0:
         return (Composition(q, (k,), HEAD, k),)
     out = []
-    for parts in iter_tail_free_parts(k, d + 1, q, digit_limit):
+    for parts in iter_tail_free_parts(k, d + 1, q):
         out.append(parts[::-1])
         if len(out) > max_results:
             raise ResourceLimitError(
@@ -396,20 +350,12 @@ def tail_free_nonempty(n: int, d: int, q: PrimePower) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _tail_monotone_reps(
-    n: int, d: int, q: PrimePower, digit_limit: int
-) -> list[tuple[int, ...]]:
-    mats = valid_class_matrices(n, d, q, digit_limit)
+def _tail_monotone_reps(n: int, d: int, q: PrimePower) -> list[tuple[int, ...]]:
+    mats = valid_class_matrices(n, d, q)
     return [_monotone_parts(m.columns, n, q) for m in mats]
 
 
-def modest(
-    target: int,
-    d: int,
-    q: PrimePower,
-    kind: str = HEAD,
-    digit_limit: int = DIGIT_SUM_LIMIT,
-) -> Composition:
+def modest(target: int, d: int, q: PrimePower, kind: str = HEAD) -> Composition:
     """The modest composition.
 
     kind=HEAD: the element of the head-free index set whose reversal is
@@ -421,27 +367,22 @@ def modest(
     if kind == HEAD:
         if d == 0:
             return Composition(q, (target,), HEAD, target)
-        reps = _tail_monotone_reps(target, d + 1, q, digit_limit)
+        reps = _tail_monotone_reps(target, d + 1, q)
         if not reps:
             raise EmptySetError(f"no head-free compositions of {target} at d={d}")
         return Composition(q, max(reps)[::-1], HEAD, target)
-    reps = _tail_monotone_reps(target, d, q, digit_limit)
+    reps = _tail_monotone_reps(target, d, q)
     if not reps:
         raise EmptySetError(f"no tail-free compositions of {target} at d={d}")
     return Composition(q, max(reps), TAIL, target)
 
 
-def greedy(
-    k: int,
-    d: int,
-    q: PrimePower,
-    digit_limit: int = DIGIT_SUM_LIMIT,
-) -> Composition:
+def greedy(k: int, d: int, q: PrimePower) -> Composition:
     """Lexicographically largest head-free composition; it indexes the
     unique maximal-degree monomial of the power sum."""
     if d == 0:
         return Composition(q, (k,), HEAD, k)
-    mats = valid_class_matrices(k, d + 1, q, digit_limit)
+    mats = valid_class_matrices(k, d + 1, q)
     if not mats:
         raise EmptySetError(f"no head-free compositions of {k} at d={d}")
     best: Optional[tuple[int, ...]] = None
@@ -453,18 +394,13 @@ def greedy(
     return Composition(q, best, HEAD, k)
 
 
-def optimal_set(
-    n: int,
-    d: int,
-    q: PrimePower,
-    digit_limit: int = DIGIT_SUM_LIMIT,
-) -> tuple[Composition, ...]:
+def optimal_set(n: int, d: int, q: PrimePower) -> tuple[Composition, ...]:
     """All minimum-weight tail-free compositions of n with d parts.
 
     Any minimum-weight composition is the monotone representative of its
     own class matrix, so the minimum over representatives is exhaustive.
     """
-    reps = _tail_monotone_reps(n, d, q, digit_limit)
+    reps = _tail_monotone_reps(n, d, q)
     if not reps:
         raise EmptySetError(f"no tail-free compositions of {n} at d={d}")
     comps = [Composition(q, parts, TAIL, n) for parts in reps]
@@ -474,38 +410,3 @@ def optimal_set(
     )
     return tuple(winners)
 
-
-# ---------------------------------------------------------------------------
-# brute-force routes (oracles for the structural implementations)
-# ---------------------------------------------------------------------------
-
-
-def greedy_by_enumeration(k: int, d: int, q: PrimePower, **kw) -> Composition:
-    comps = enumerate_head_free(k, d, q, **kw)
-    if not comps:
-        raise EmptySetError(f"no head-free compositions of {k} at d={d}")
-    return max(comps, key=lambda c: c.parts)
-
-
-def modest_by_enumeration(
-    target: int, d: int, q: PrimePower, kind: str = HEAD, **kw
-) -> Composition:
-    if kind == HEAD:
-        comps = enumerate_head_free(target, d, q, **kw)
-        key = lambda c: c.parts[::-1]
-    else:
-        comps = enumerate_tail_free(target, d, q, **kw)
-        key = lambda c: c.parts
-    if not comps:
-        raise EmptySetError(f"no compositions of {target} at d={d}")
-    return max(comps, key=key)
-
-
-def optimal_set_by_enumeration(
-    n: int, d: int, q: PrimePower, **kw
-) -> tuple[Composition, ...]:
-    comps = enumerate_tail_free(n, d, q, **kw)
-    if not comps:
-        raise EmptySetError(f"no tail-free compositions of {n} at d={d}")
-    best = min(c.weight for c in comps)
-    return tuple(c for c in comps if c.weight == best)

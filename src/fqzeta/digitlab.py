@@ -28,7 +28,6 @@ from .errors import DegenerateCoverError, PreconditionError
 
 __all__ = [
     "PrimePower",
-    "DigitVector",
     "ClassVector",
     "FracVector",
     "base_digits",
@@ -121,49 +120,6 @@ def base_digits(n: int, base: int) -> tuple[int, ...]:
         n, d = divmod(n, base)
         digits.append(d)
     return tuple(digits)
-
-
-@dataclass(frozen=True)
-class DigitVector:
-    """Positional expansion of a non-negative integer in a fixed base.
-
-    Digits are stored least significant first with no trailing zero digit,
-    so the zero integer is represented by an empty digit tuple.
-    """
-
-    base: int
-    digits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.base < 2:
-            raise ValueError("base must be >= 2")
-        if any(d < 0 or d >= self.base for d in self.digits):
-            raise ValueError("digit out of range")
-        if self.digits and self.digits[-1] == 0:
-            raise ValueError("trailing zero digit")
-
-    @classmethod
-    def from_int(cls, value: int, base: int) -> "DigitVector":
-        return cls(base, base_digits(value, base))
-
-    @property
-    def value(self) -> int:
-        total = 0
-        for d in reversed(self.digits):
-            total = total * self.base + d
-        return total
-
-    @property
-    def digit_sum(self) -> int:
-        return sum(self.digits)
-
-    def power_multiset(self) -> dict[int, int]:
-        """Multiset of base-powers represented by the digits.
-
-        Maps exponent -> multiplicity; the digit d at position j contributes
-        d copies of base^j.
-        """
-        return {j: d for j, d in enumerate(self.digits) if d}
 
 
 def digit_sum_base_q(k: int, q: PrimePower) -> int:

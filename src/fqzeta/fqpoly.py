@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -42,7 +42,6 @@ __all__ = [
     "make_field",
     "field_from_q",
     "monic_polys",
-    "t_valuation",
     "poly_gcd",
 ]
 
@@ -570,13 +569,6 @@ class Poly:
         weights = np.array([field.pp.p**j for j in range(field.pp.f)], dtype=np.uint64)
         return cls(field, (head * weights).sum(axis=1).tolist())
 
-    @classmethod
-    def from_elements(cls, elements: Sequence[FieldElement]) -> "Poly":
-        if not elements:
-            raise ValueError("need at least one element to infer the field")
-        field = elements[0].field
-        return cls(field, tuple(e.code for e in elements))
-
     # -- structure ----------------------------------------------------------
 
     @property
@@ -595,15 +587,6 @@ class Poly:
             if c:
                 return i
         return INF
-
-    def element_at(self, i: int) -> FieldElement:
-        code = self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-        return FieldElement(self.field, code)
-
-    def leading_code(self) -> int:
-        if self.is_zero:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
 
     @property
     def is_monic(self) -> bool:
@@ -819,10 +802,6 @@ class RationalFn:
     def __setattr__(self, *a):
         raise AttributeError("RationalFn is immutable")
 
-    @classmethod
-    def from_poly(cls, p: Poly) -> "RationalFn":
-        return cls(p)
-
     @property
     def field(self) -> FieldSpec:
         return self.num.field
@@ -883,8 +862,3 @@ class RationalFn:
 
     def __repr__(self) -> str:
         return f"RationalFn({self.text()} over F{self.field.pp.q})"
-
-
-def t_valuation(x: Union[Poly, RationalFn]):
-    """t-valuation of a polynomial or rational function; INF for zero."""
-    return x.t_valuation

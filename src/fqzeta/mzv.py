@@ -121,8 +121,9 @@ def _threshold_floor(k: int, q: PrimePower) -> int:
 
 
 def _trivial_criterion(s: tuple[int, ...], q: PrimePower) -> bool:
+    # r - i is an integer, so r - i > L(k) exactly when r - i > floor(L(k))
     r = len(s)
-    return any(r - i > vanishing_threshold(-s[i - 1], q) for i in range(1, r))
+    return any(r - i > _threshold_floor(-s[i - 1], q) for i in range(1, r))
 
 
 def classify_zero(s: tuple[int, ...], q: PrimePower) -> str:
@@ -268,23 +269,31 @@ def zeta_negative(
 
 
 def sweep_negative(
-    field: FieldSpec, depth: int, smin: int, smax: int = -1
+    field: FieldSpec,
+    depth: int,
+    smin: int,
+    smax: int = -1,
+    prefix: tuple[int, ...] = (),
 ) -> Iterator[ZetaResult]:
-    """All-negative sweep over s in [smin, smax]^depth, in lexicographic
-    order; one exact ZetaResult per tuple, sharing caches across tuples."""
+    """All-negative sweep over the tuples prefix + tail, with tail running
+    over [smin, smax]^(depth - len(prefix)) in lexicographic order; one
+    exact ZetaResult per tuple, sharing caches across tuples.  The empty
+    prefix sweeps the whole grid [smin, smax]^depth."""
     if smin > smax or smax > -1:
         raise ValueError("need smin <= smax <= -1")
+    prefix = tuple(prefix)
+    if len(prefix) > depth or any(not smin <= x <= smax for x in prefix):
+        raise ValueError("prefix needs at most depth entries in [smin, smax]")
     engine = _NegativeEngine(field)
     entries = range(smin, smax + 1)
-    for s in itertools.product(entries, repeat=depth):
-        yield zeta_negative(s, field, _engine=engine)
+    for tail in itertools.product(entries, repeat=depth - len(prefix)):
+        yield zeta_negative(prefix + tail, field, _engine=engine)
 
 
 def zeta_mixed(
     s: Union[tuple[int, ...], list[int]],
     field: FieldSpec,
     d_max: Optional[int] = None,
-    term_limit: int = MIXED_TERM_LIMIT,
 ) -> ZetaResult:
     """Evaluation at a tuple of arbitrary nonzero signs.
 
@@ -329,9 +338,9 @@ def zeta_mixed(
         if i == r:
             total = total + partial
             terms += 1
-            if terms > term_limit:
+            if terms > MIXED_TERM_LIMIT:
                 raise ResourceLimitError(
-                    f"mixed-sign evaluation exceeded {term_limit} terms"
+                    f"mixed-sign evaluation exceeded {MIXED_TERM_LIMIT} terms"
                 )
             return
         hi = upper(i, prev)

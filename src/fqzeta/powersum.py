@@ -172,21 +172,20 @@ def power_sum_bruteforce(
     return PowerSumResult(field, d, s, "bruteforce", total_r)
 
 
-def bruteforce_power_table(
-    d: int, kmax: int, field: FieldSpec, max_terms: int = BRUTE_FORCE_LIMIT
-) -> list[Poly]:
+def bruteforce_power_table(d: int, kmax: int, field: FieldSpec) -> list[Poly]:
     """S(d, -k) for every 1 <= k <= kmax by incremental multiplication.
 
     Entry k of the returned list (1-based; entry 0 is S(d, 0)) matches
     power_sum_bruteforce(d, -k) but the whole sweep shares the running
-    powers a, a^2, ..., a^kmax of each monic.
+    powers a, a^2, ..., a^kmax of each monic.  Refuses to start when q^d
+    exceeds BRUTE_FORCE_LIMIT.
     """
     if d < 0 or kmax < 0:
         raise ValueError("need d >= 0 and kmax >= 0")
     count = field.pp.q**d
-    if count > max_terms:
+    if count > BRUTE_FORCE_LIMIT:
         raise ResourceLimitError(
-            f"q^d = {count} exceeds the brute-force guard {max_terms}"
+            f"q^d = {count} exceeds the brute-force guard {BRUTE_FORCE_LIMIT}"
         )
     acc = [PackedSum(field) for _ in range(kmax + 1)]
     for a in monic_polys(field, d):

@@ -21,9 +21,11 @@ from fqzeta import (
 from fqzeta.compose import (
     HEAD,
     TAIL,
-    greedy_by_enumeration,
-    modest_by_enumeration,
-    optimal_set_by_enumeration,
+)
+from fqzeta.verify import (
+    _greedy_by_enumeration as greedy_by_enumeration,
+    _modest_by_enumeration as modest_by_enumeration,
+    _optimal_set_by_enumeration as optimal_set_by_enumeration,
 )
 
 import oracles
@@ -147,10 +149,8 @@ class TestClassMatrices:
 
     def test_power_classes(self, q9):
         pc = power_classes(131, q9)
-        assert pc.sequences == ((81, 9, 9, 1, 1), (27, 3))
-        flat = sorted(
-            [v for seq in pc.sequences for v in seq], reverse=True
-        )
+        assert pc == ((81, 9, 9, 1, 1), (27, 3))
+        flat = sorted([v for seq in pc for v in seq], reverse=True)
         assert flat == [81, 27, 9, 9, 3, 1, 1]
         assert sum(flat) == 131
 

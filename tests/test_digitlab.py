@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from fqzeta import (
     ClassVector,
     DegenerateCoverError,
-    DigitVector,
     FracVector,
     PreconditionError,
     PrimePower,
@@ -26,6 +25,7 @@ from fqzeta import (
     split_capacity,
     vanishing_threshold,
 )
+from fqzeta.digitlab import base_digits
 
 import oracles
 
@@ -53,26 +53,14 @@ class TestPrimePower:
         assert all(q2.is_q_even(n) for n in range(-5, 6))
 
 
-class TestDigitVector:
-    def test_roundtrip(self):
-        dv = DigitVector.from_int(131, 3)
-        assert dv.digits == (2, 1, 2, 1, 1)
-        assert dv.value == 131
-        assert dv.digit_sum == 7
-        assert DigitVector.from_int(0, 5).digits == ()
-
-    def test_power_multiset(self):
-        dv = DigitVector.from_int(8, 3)  # 22 base 3
-        assert dv.power_multiset() == {0: 2, 1: 2}
-
-    def test_invariants(self):
-        with pytest.raises(ValueError):
-            DigitVector(3, (1, 0))  # trailing zero
-        with pytest.raises(ValueError):
-            DigitVector(3, (3,))  # digit out of range
-
-
 class TestDigitSums:
+    def test_base_digits(self):
+        assert base_digits(131, 3) == (2, 1, 2, 1, 1)  # least significant first
+        assert base_digits(8, 3) == (2, 2)
+        assert base_digits(0, 5) == ()
+        with pytest.raises(ValueError):
+            base_digits(-1, 3)
+
     def test_examples(self, q3, q9):
         assert digit_sum_base_q(8, q3) == 4  # 22 base 3
         assert digit_sum_base_q(131, q9) == 11  # 155 base 9

@@ -217,6 +217,31 @@ class TestSweep:
             fresh = zeta_negative(r.index.s, field)
             assert (r.value, r.classification) == (fresh.value, fresh.classification)
 
+    @pytest.mark.parametrize("q", [2, 9])
+    def test_prefix_is_a_slice_of_the_full_sweep(self, q):
+        field = field_from_q(q)
+        smin = -5
+        full = [
+            (r.index.s, r.value, r.classification)
+            for r in sweep_negative(field, 3, smin)
+        ]
+        for prefix in [(), (-3,), (-5, -1), (-2, -4, -1)]:
+            part = [
+                (r.index.s, r.value, r.classification)
+                for r in sweep_negative(field, 3, smin, prefix=prefix)
+            ]
+            expected = [row for row in full if row[0][: len(prefix)] == prefix]
+            assert part == expected
+            assert len(part) == (-smin) ** (3 - len(prefix))
+
+    @pytest.mark.parametrize(
+        "prefix", [(-1, -1, -1), (-6,), (-1, 0), (-2, -7)]
+    )
+    def test_prefix_validation(self, F3, prefix):
+        # too long for depth 2, or an entry outside [-5, -1]
+        with pytest.raises(ValueError):
+            list(sweep_negative(F3, 2, -5, prefix=prefix))
+
     def test_readme_example(self):
         assert zeta_negative((-8, -2), field_from_q(9)).classification == NONZERO
 
