@@ -15,7 +15,11 @@ module knows that format.  Its limb width is per field: the smallest of
 overflow rule covers every packed product: canonical operands add at most
 (p-1)^2 * f * min(slots) to a limb (an F_p-multiple c * t^j * a adds at
 most (p-1)^2), and ``PackedSum`` renormalizes, or splits the shorter
-operand, before any limb could overflow.  ``make_field``
+operand, before any limb could overflow.  ``canonical_products`` takes
+many products at once under the same rule: each pair is one big-int
+multiply (or a ``PackedSum`` when the shorter operand is too long), and a
+single fold over one buffer renormalizes them all and gives their sum;
+``block_size`` says how many fit its fixed limb budget.  ``make_field``
 accepts exactly the fields with (p-1)^2 * f + p - 1 < 2^64, each exact on
 every packed path.  The schoolbook route is kept for small operands and
 serves as the independent reference in the test suite.  All arithmetic
@@ -39,6 +43,8 @@ __all__ = [
     "Poly",
     "RationalFn",
     "PackedSum",
+    "block_size",
+    "canonical_products",
     "make_field",
     "field_from_q",
     "monic_polys",
@@ -49,6 +55,7 @@ _TABLE_LIMIT = 1024  # f > 1 fields up to this q get q x q operation tables
 CACHE_LIMIT = 1 << 16  # entries in each cache that lives as long as the process
 _SCHOOLBOOK_CUTOFF = 2048
 _HEADROOM = 256  # coefficient products a limb of the chosen width holds
+_BLOCK_LIMBS = 1 << 16  # limbs one canonical_products fold should cover
 
 
 class _PlusInfinity:
@@ -169,6 +176,7 @@ class FieldSpec:
         "_product_bound",
         "_chunk_slots",
         "_prime",
+        "_modulus_text",
         "_add",
         "_mul",
         "_neg",
@@ -195,6 +203,7 @@ class FieldSpec:
         self._chunk_slots = ((1 << self._limb_bits) - pp.p) // bound
         # prime-field codes are residues mod p, with plain integer arithmetic
         self._prime = pp.p if f == 1 else 0
+        self._modulus_text = _fp_poly_text(modulus)
         self._add = self._mul = self._neg = self._inv = None
         if f > 1 and pp.q <= _TABLE_LIMIT:
             self._build_tables()
@@ -239,18 +248,30 @@ class FieldSpec:
         return self.code_of(out)
 
     def _build_tables(self) -> None:
-        q = self.pp.q
-        self._add = [
-            [self._add_coords(a, b) for b in range(q)] for a in range(q)
-        ]
-        self._mul = [
-            [self._mul_coords(a, b) for b in range(q)] for a in range(q)
-        ]
-        self._neg = [self._add[a].index(0) for a in range(q)]
-        inv = [0] * q
-        for a in range(1, q):
-            inv[a] = self._mul[a].index(1)
-        self._inv = inv
+        # add and neg digit-wise on the base-p digits of all q codes at once;
+        # mul and inv through the powers of one primitive element g, the
+        # first code whose powers under _mul_coords reach all q - 1 units
+        p, f, q = self.pp.p, self.pp.f, self.pp.q
+        codes = np.arange(q, dtype=np.int32)
+        add = np.zeros((q, q), dtype=np.int32)
+        neg = np.zeros(q, dtype=np.int32)
+        for j in range(f):
+            digit = codes // p**j % p
+            add += (digit[:, None] + digit) % p * p**j
+            neg += -digit % p * p**j
+        for g in range(2, q):
+            powers = [1]
+            while (x := self._mul_coords(powers[-1], g)) != 1:
+                powers.append(x)
+            if len(powers) == q - 1:
+                break
+        antilog = np.array(powers, dtype=np.int32)
+        log = np.zeros(q, dtype=np.int32)
+        log[antilog] = np.arange(q - 1, dtype=np.int32)
+        mul = np.zeros((q, q), dtype=np.int32)
+        mul[1:, 1:] = antilog[(log[1:, None] + log[1:]) % (q - 1)]
+        self._add, self._mul, self._neg = add.tolist(), mul.tolist(), neg.tolist()
+        self._inv = [0] + antilog[-log[1:] % (q - 1)].tolist()
 
     # -- public code arithmetic ------------------------------------------
 
@@ -313,7 +334,7 @@ class FieldSpec:
         return FieldElement(self, 1)
 
     def modulus_text(self) -> str:
-        return _fp_poly_text(self.modulus)
+        return self._modulus_text
 
     def __eq__(self, other) -> bool:
         return (
@@ -513,6 +534,45 @@ class PackedSum:
         return self.value
 
 
+def block_size(field: FieldSpec, slots: int) -> int:
+    """How many products of at most ``slots`` slots one
+    ``canonical_products`` call should take: as many as fit _BLOCK_LIMBS
+    limbs, and at least one."""
+    return max(1, _BLOCK_LIMBS // (slots * field.pack_stride))
+
+
+def canonical_products(
+    xs: Sequence[int], ys: Sequence[int], field: FieldSpec
+) -> tuple[list[int], int]:
+    """Canonical packed x * y for each pair of canonical packed x and y, and
+    the canonical packed sum of those products.
+
+    Each product is one big-int multiply; all of them are laid out in one
+    buffer and renormalized by a single fold.  A pair whose shorter operand
+    exceeds the chunk length goes through ``PackedSum.add``, which splits it.
+    """
+    fs = field
+    limit = fs._chunk_slots * fs._slot_bits
+    prods = [
+        x * y if min(x.bit_length(), y.bit_length()) < limit
+        else PackedSum(fs).add(x, y).value
+        for x, y in zip(xs, ys)
+    ]
+    slots = -(-max(map(int.bit_length, prods), default=0) // fs._slot_bits)
+    if not slots:
+        return prods, 0
+    nbytes = slots * fs._slot_bits // 8
+    dtype = f"<u{fs._limb_bits // 8}"
+    rows = np.frombuffer(b"".join(n.to_bytes(nbytes, "little") for n in prods), dtype)
+    rows = _fold_rows(rows.reshape(-1, fs.pack_stride), fs)
+    raw = memoryview(rows.astype(dtype, copy=False).tobytes())
+    out = [
+        int.from_bytes(raw[i : i + nbytes], "little") for i in range(0, len(raw), nbytes)
+    ]
+    total = rows.reshape(len(prods), -1).sum(axis=0, dtype=np.uint64) % fs.pp.p
+    return out, int.from_bytes(total.astype(dtype).tobytes(), "little")
+
+
 # ---------------------------------------------------------------------------
 # polynomials
 # ---------------------------------------------------------------------------
@@ -561,13 +621,24 @@ class Poly:
         return cls(field, (0, 1))
 
     @classmethod
+    def _trusted(cls, field: FieldSpec, coeffs: list[int]) -> "Poly":
+        """Poly of codes already in [0, q); only trailing zeros are stripped."""
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        self = object.__new__(cls)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "coeffs", tuple(coeffs))
+        object.__setattr__(self, "_packed", None)
+        return self
+
+    @classmethod
     def from_packed(cls, field: FieldSpec, n: int) -> "Poly":
         """Polynomial of a packed value, canonical or a ``PackedSum.value``."""
         if n == 0:
-            return cls(field, ())
+            return cls._trusted(field, [])
         head = _fold_rows(_limb_rows(n, field), field)[:, : field.pp.f]
         weights = np.array([field.pp.p**j for j in range(field.pp.f)], dtype=np.uint64)
-        return cls(field, (head * weights).sum(axis=1).tolist())
+        return cls._trusted(field, (head * weights).sum(axis=1).tolist())
 
     # -- structure ----------------------------------------------------------
 

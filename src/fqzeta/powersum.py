@@ -28,7 +28,17 @@ from typing import Union
 from .compose import HEAD, modest
 from .digitlab import PrimePower, base_digits, vanishing_threshold
 from .errors import ResourceLimitError
-from .fqpoly import CACHE_LIMIT, INF, FieldSpec, PackedSum, Poly, RationalFn, monic_polys
+from .fqpoly import (
+    CACHE_LIMIT,
+    INF,
+    FieldSpec,
+    PackedSum,
+    Poly,
+    RationalFn,
+    block_size,
+    canonical_products,
+    monic_polys,
+)
 
 __all__ = [
     "PowerSumResult",
@@ -177,8 +187,12 @@ def bruteforce_power_table(d: int, kmax: int, field: FieldSpec) -> list[Poly]:
 
     Entry k of the returned list (1-based; entry 0 is S(d, 0)) matches
     power_sum_bruteforce(d, -k) but the whole sweep shares the running
-    powers a, a^2, ..., a^kmax of each monic.  Refuses to start when q^d
-    exceeds BRUTE_FORCE_LIMIT.
+    powers a, a^2, ..., a^kmax of each monic, a^k = a^(k-1) * a.  The
+    monics go in blocks sized by ``fqpoly.block_size``: for each block and
+    each k one ``canonical_products`` call steps every running power of the
+    block and returns the block's part of the sum, so only one block's
+    powers are live at a time.  Refuses to start when q^d exceeds
+    BRUTE_FORCE_LIMIT.
     """
     if d < 0 or kmax < 0:
         raise ValueError("need d >= 0 and kmax >= 0")
@@ -188,13 +202,15 @@ def bruteforce_power_table(d: int, kmax: int, field: FieldSpec) -> list[Poly]:
             f"q^d = {count} exceeds the brute-force guard {BRUTE_FORCE_LIMIT}"
         )
     acc = [PackedSum(field) for _ in range(kmax + 1)]
-    for a in monic_polys(field, d):
-        ap = a.packed()
-        cur = Poly.one(field).packed()
-        acc[0].add(cur)
+    monics = (a.packed() for a in monic_polys(field, d))
+    step = block_size(field, d * kmax + 1)
+    while block := list(itertools.islice(monics, step)):
+        # entry 0: a^0 = 1 for every monic of the block
+        acc[0].add_scaled(1, len(block) % field.pp.p, 0)
+        cur = [1] * len(block)
         for k in range(1, kmax + 1):
-            cur = PackedSum(field).add(cur, ap).canonical()
-            acc[k].add(cur)
+            cur, total = canonical_products(cur, block, field)
+            acc[k].add(total)
     return [Poly.from_packed(field, s.value) for s in acc]
 
 

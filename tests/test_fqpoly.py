@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,14 @@ from fqzeta import (
     make_field,
     monic_polys,
 )
-from fqzeta.fqpoly import CACHE_LIMIT, PackedSum, _mul_packed, _mul_schoolbook, poly_gcd
+from fqzeta.fqpoly import (
+    CACHE_LIMIT,
+    PackedSum,
+    _mul_packed,
+    _mul_schoolbook,
+    canonical_products,
+    poly_gcd,
+)
 from fqzeta.mzv import _threshold_floor
 from fqzeta.powersum import power_sum_valuation
 
@@ -97,6 +105,23 @@ class TestFieldElement:
             if a:
                 inv = field.inv_code(a)
                 assert 0 < inv < q and field._mul_coords(a, inv) == 1
+
+    @pytest.mark.parametrize("q", [4, 8, 9, 25, 27, 49, 121])
+    def test_tables_match_coordinates(self, q):
+        field = field_from_q(q)
+        for a in range(q):
+            assert field._add[a] == [field._add_coords(a, b) for b in range(q)]
+            assert field._mul[a] == [field._mul_coords(a, b) for b in range(q)]
+            assert field._add_coords(a, field._neg[a]) == 0
+            if a:
+                assert field._mul_coords(a, field._inv[a]) == 1
+
+    def test_table_build_time(self):
+        # make_field's cache is bypassed, so the tables are built here
+        start = time.perf_counter()
+        field = make_field.__wrapped__(31, 2)
+        assert time.perf_counter() - start < 0.5
+        assert field._mul is not None
 
     def test_frobenius_additive(self):
         rng = random.Random(5)
@@ -208,6 +233,37 @@ class TestPolyMultiplicationRoutes:
                 )
             expected = expected + products[key]
         assert Poly.from_packed(field, acc.value) == expected
+
+    @pytest.mark.parametrize("q", [9, 257])
+    def test_canonical_products(self, q):
+        # dense pairs of mixed lengths, a zero operand, and two sparse
+        # 70000-slot operands, longer than the chunk at q = 9 (8191 slots)
+        # and at q = 257 (65535), so that pair goes through PackedSum.add
+        field = field_from_q(q)
+        rng = random.Random(q)
+
+        def dense(n):
+            lead = rng.randrange(1, q)
+            return Poly(field, [rng.randrange(q) for _ in range(n)] + [lead])
+
+        sparse = []
+        for _ in range(2):
+            coeffs = [0] * 70000
+            for i in rng.sample(range(69999), 8) + [69999]:
+                coeffs[i] = rng.randrange(1, q)
+            sparse.append(Poly(field, coeffs))
+        pairs = [(dense(rng.randrange(40)), dense(rng.randrange(40))) for _ in range(20)]
+        pairs += [(Poly.zero(field), dense(5)), (sparse[0], sparse[1])]
+        products, total = canonical_products(
+            [a.packed() for a, _ in pairs], [b.packed() for _, b in pairs], field
+        )
+        expected = [
+            Poly(field, oracles.naive_poly_mul_codes(a.coeffs, b.coeffs, field))
+            for a, b in pairs
+        ]
+        assert products == [e.packed() for e in expected]
+        assert total == sum(expected, Poly.zero(field)).packed()
+        assert canonical_products([], [], field) == ([], 0)
 
     @pytest.mark.parametrize("q", [9, 257])
     def test_packed_sum_add_scaled(self, q):

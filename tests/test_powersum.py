@@ -15,6 +15,7 @@ from fqzeta import (
 )
 from fqzeta import make_field
 from fqzeta.compose import HEAD, enumerate_head_free
+from fqzeta.fqpoly import block_size
 
 import oracles
 
@@ -121,6 +122,41 @@ class TestBruteForce:
                 assert table[k] == power_sum_bruteforce(2, -k, field).value
             assert table[0] == power_sum_bruteforce(2, 0, field).value
 
+    @pytest.mark.parametrize(
+        "q, kmax, ks, blocks",
+        [
+            # 64 monics in blocks of 21: the last block holds one monic
+            (8, 300, (0, 1, 2, 63, 126, 127, 191, 255, 287, 299, 300), 4),
+            # all 25 monics in one block
+            (5, 40, range(41), 1),
+        ],
+    )
+    def test_table_blocks_match_single_calls(self, q, kmax, ks, blocks):
+        field = field_from_q(q)
+        assert -(-(q**2) // block_size(field, 2 * kmax + 1)) == blocks
+        table = bruteforce_power_table(2, kmax, field)
+        for k in ks:
+            assert table[k] == power_sum_bruteforce(2, -k, field).value, k
+
+    @pytest.mark.parametrize("q", [3, 9])
+    def test_table_edge_cases(self, q):
+        field = field_from_q(q)
+        one = Poly.one(field)
+        assert bruteforce_power_table(0, 0, field) == [one]
+        assert bruteforce_power_table(0, 4, field) == [one] * 5
+        assert bruteforce_power_table(2, 0, field) == [
+            power_sum_bruteforce(2, 0, field).value
+        ]
+
+    def test_table_64_bit_limbs(self):
+        # q = 65521 needs 64-bit limbs; S(1, -k) = 0 for 0 < k < q - 1, so
+        # the table checks that 65521 running powers cancel exactly
+        field = field_from_q(65521)
+        table = bruteforce_power_table(1, 4, field)
+        assert table[0] == power_sum_bruteforce(1, 0, field).value
+        for k in range(1, 5):
+            assert table[k] == power_sum_formula(1, -k, field).value, k
+
     @pytest.mark.parametrize("q", [257, 263])
     def test_table_matches_formula_past_limb_overflow(self, q):
         # one coefficient product (p-1)^2 no longer fits a 16-bit limb;
@@ -153,6 +189,13 @@ class TestAwkwardFields:
                 assert value == table[k], (d, k)
                 nonzero += not value.is_zero
         assert nonzero
+
+    def test_formula_matches_table_depth_three_q27(self):
+        # every entry is 0 (k < q - 1); the table sums 27^3 running powers
+        field = field_from_q(27)
+        table = bruteforce_power_table(3, 12, field)
+        for k in range(1, 13):
+            assert table[k] == power_sum_formula(3, -k, field).value, k
 
     def test_formula_matches_bruteforce_depth_three_q27(self):
         field = field_from_q(27)
