@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from typing import Optional, Sequence
@@ -243,10 +244,9 @@ _CSV_COLUMNS = (
 )
 
 
-def _sweep_chunk(task: tuple[int, int, int, int, int]) -> list[dict]:
-    q, depth, smin, smax, s1 = task
-    sweep = mzv.sweep_negative(field_from_q(q), depth, smin, smax, prefix=(s1,))
-    return [res.to_json_dict() for res in sweep]
+def _sweep_task(task: tuple[int, int, int, int, tuple[int, ...]]) -> list[tuple]:
+    q, depth, smin, smax, prefix = task
+    return list(mzv.sweep_text(field_from_q(q), depth, smin, smax, prefix))
 
 
 def _cmd_sweep(args) -> int:
@@ -257,45 +257,47 @@ def _cmd_sweep(args) -> int:
         PrimePower.from_q(q)
     if args.smin > args.smax or args.smax > -1:
         raise PreconditionError("need --smin <= --smax <= -1")
-    tasks = [
-        (q, args.depth, args.smin, args.smax, s1)
-        for q in sorted(qs)
-        for s1 in range(args.smin, args.smax + 1)
-    ]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            chunks = list(pool.map(_sweep_chunk, tasks, chunksize=4))
+    if args.jobs < 1:
+        raise PreconditionError("--jobs must be at least 1")
+    fields = {q: field_from_q(q) for q in sorted(qs)}
+    grid = (args.depth, args.smin, args.smax)
+    if args.jobs == 1:
+        # one sweep, and so one engine, per q
+        chunks = [(q, mzv.sweep_text(field, *grid)) for q, field in fields.items()]
     else:
-        chunks = [_sweep_chunk(t) for t in tasks]
-    records = [row for chunk in chunks for row in chunk]
+        # one task, and so one engine, per (q, s_1)
+        tasks = [
+            (q, *grid, (s1,)) for q in fields for s1 in range(args.smin, args.smax + 1)
+        ]
+        workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = pool.map(_sweep_task, tasks, chunksize=4)
+            chunks = [(task[0], chunk) for task, chunk in zip(tasks, rows)]
 
     if args.format == "json":
+        records = [
+            mzv.zeta_record(fields[q], s, text, val, cls, True)
+            for q, chunk in chunks
+            for s, text, val, cls in chunk
+        ]
         _emit(json.dumps(records, indent=2) + "\n", args.out)
     else:
         buf = io.StringIO()
         if not args.no_banner:
             buf.write(f"# fqzeta {__version__}\n")
-        for q in sorted(qs):
-            field = field_from_q(q)
+        for field in fields.values():
             pp = field.pp
             buf.write(
                 f"# q={pp.q} p={pp.p} f={pp.f} modulus={field.modulus_text()}\n"
             )
         writer = csv.writer(buf)
         writer.writerow(_CSV_COLUMNS)
-        for rec in records:
-            writer.writerow(
-                [
-                    rec["q"],
-                    rec["p"],
-                    rec["f"],
-                    ",".join(str(x) for x in rec["s"]),
-                    rec["depth"],
-                    rec["value"],
-                    rec["valuation"],
-                    rec["classification"],
-                    rec["exact"],
-                ]
+        for q, chunk in chunks:
+            pp = fields[q].pp
+            writer.writerows(
+                (pp.q, pp.p, pp.f, ",".join(map(str, s)), len(s), text,
+                 _val_text(val), cls, True)
+                for s, text, val, cls in chunk
             )
         _emit(buf.getvalue(), args.out)
     return EXIT_OK

@@ -19,7 +19,9 @@ operand, before any limb could overflow.  ``canonical_products`` takes
 many products at once under the same rule: each pair is one big-int
 multiply (or a ``PackedSum`` when the shorter operand is too long), and a
 single fold over one buffer renormalizes them all and gives their sum;
-``block_size`` says how many fit its fixed limb budget.  ``make_field``
+``block_size`` says how many fit its fixed limb budget.
+``canonical_values`` renormalizes many running sums by one such fold, and
+``monic_blocks`` packs the monics of a degree block by block.  ``make_field``
 accepts exactly the fields with (p-1)^2 * f + p - 1 < 2^64, each exact on
 every packed path.  The schoolbook route is kept for small operands and
 serves as the independent reference in the test suite.  All arithmetic
@@ -45,9 +47,11 @@ __all__ = [
     "PackedSum",
     "block_size",
     "canonical_products",
+    "canonical_values",
     "make_field",
     "field_from_q",
     "monic_polys",
+    "monic_blocks",
     "poly_gcd",
 ]
 
@@ -86,6 +90,10 @@ class _PlusInfinity:
 
     def __repr__(self):
         return "inf"
+
+    def __reduce__(self):
+        # unpickles as the module's INF, so identity tests survive workers
+        return "INF"
 
 
 INF = _PlusInfinity()
@@ -558,19 +566,38 @@ def canonical_products(
         else PackedSum(fs).add(x, y).value
         for x, y in zip(xs, ys)
     ]
-    slots = -(-max(map(int.bit_length, prods), default=0) // fs._slot_bits)
+    out, rows = _fold_values(prods, fs)
+    if rows is None:
+        return out, 0
+    total = rows.reshape(len(prods), -1).sum(axis=0, dtype=np.uint64) % fs.pp.p
+    dtype = f"<u{fs._limb_bits // 8}"
+    return out, int.from_bytes(total.astype(dtype).tobytes(), "little")
+
+
+def canonical_values(values: Sequence[int], field: FieldSpec) -> list[int]:
+    """Canonical packed form of each packed value (canonical, or a
+    ``PackedSum.value``), all renormalized by a single fold.  Zero stays 0,
+    so a value is the zero polynomial exactly when its canonical form is 0."""
+    return _fold_values(values, field)[0]
+
+
+def _fold_values(
+    values: Sequence[int], fs: FieldSpec
+) -> tuple[list[int], Optional[np.ndarray]]:
+    # every value padded to the longest one's slots, one fold over the lot;
+    # also returns the folded limb rows (None when every value is 0)
+    slots = -(-max(map(int.bit_length, values), default=0) // fs._slot_bits)
     if not slots:
-        return prods, 0
+        return list(values), None
     nbytes = slots * fs._slot_bits // 8
     dtype = f"<u{fs._limb_bits // 8}"
-    rows = np.frombuffer(b"".join(n.to_bytes(nbytes, "little") for n in prods), dtype)
+    rows = np.frombuffer(b"".join(n.to_bytes(nbytes, "little") for n in values), dtype)
     rows = _fold_rows(rows.reshape(-1, fs.pack_stride), fs)
     raw = memoryview(rows.astype(dtype, copy=False).tobytes())
     out = [
         int.from_bytes(raw[i : i + nbytes], "little") for i in range(0, len(raw), nbytes)
     ]
-    total = rows.reshape(len(prods), -1).sum(axis=0, dtype=np.uint64) % fs.pp.p
-    return out, int.from_bytes(total.astype(dtype).tobytes(), "little")
+    return out, rows
 
 
 # ---------------------------------------------------------------------------
@@ -636,9 +663,12 @@ class Poly:
         """Polynomial of a packed value, canonical or a ``PackedSum.value``."""
         if n == 0:
             return cls._trusted(field, [])
-        head = _fold_rows(_limb_rows(n, field), field)[:, : field.pp.f]
-        weights = np.array([field.pp.p**j for j in range(field.pp.f)], dtype=np.uint64)
-        return cls._trusted(field, (head * weights).sum(axis=1).tolist())
+        p, f = field.pp.p, field.pp.f
+        head = _fold_rows(_limb_rows(n, field), field)[:, :f]
+        if f > 1:
+            weights = np.array([p**j for j in range(f)], dtype=np.uint64)
+            head = (head * weights).sum(axis=1)
+        return cls._trusted(field, head.ravel().tolist())
 
     # -- structure ----------------------------------------------------------
 
@@ -784,24 +814,27 @@ class Poly:
 
     def text(self) -> str:
         """Bit-exact text form: terms high-degree first, see README."""
-        if self.is_zero:
+        cs = self.coeffs
+        if not cs:
             return "0"
         fs = self.field
-        f = fs.pp.f
-        parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if not c:
-                continue
-            if f == 1:
-                ctext = str(c)
-            else:
-                ctext = "[" + ",".join(str(x) for x in fs.coords_of(c)) + "]"
-            if k == 0:
-                parts.append(ctext)
-                continue
-            tpart = "t" if k == 1 else f"t^{k}"
-            parts.append(tpart if c == 1 else f"{ctext}*{tpart}")
+        if fs.pp.f == 1:
+            ctext = str
+        else:
+
+            def ctext(c: int) -> str:
+                return "[" + ",".join(map(str, fs.coords_of(c))) + "]"
+
+        # a coefficient 1 is left out before a power of t
+        parts = [
+            f"t^{k}" if c == 1 else f"{ctext(c)}*t^{k}"
+            for k in range(len(cs) - 1, 1, -1)
+            if (c := cs[k])
+        ]
+        if len(cs) > 1 and (c := cs[1]):
+            parts.append("t" if c == 1 else f"{ctext(c)}*t")
+        if cs[0]:
+            parts.append(ctext(cs[0]))
         return "+".join(parts)
 
     def __repr__(self) -> str:
@@ -832,6 +865,32 @@ def monic_polys(field: FieldSpec, d: int) -> Iterator[Poly]:
     q = field.pp.q
     for lower in itertools.product(range(q), repeat=d):
         yield Poly(field, lower + (1,))
+
+
+def monic_blocks(field: FieldSpec, d: int, size: int) -> Iterator[list[int]]:
+    """The canonical packed forms of ``monic_polys(field, d)``, in the same
+    order, as lists of at most ``size``; each list is built by one numpy
+    pass, so only one block is live at a time."""
+    if d < 0:
+        raise ValueError("degree must be non-negative")
+    p, f, q = field.pp.p, field.pp.f, field.pp.q
+    dtype = f"<u{field._limb_bits // 8}"
+    nbytes = (d + 1) * field._slot_bits // 8
+    for start in range(0, q**d, size):
+        index = np.arange(start, min(start + size, q**d), dtype=np.uint64)
+        limbs = np.zeros((len(index), d + 1, field.pack_stride), dtype=dtype)
+        limbs[:, d, 0] = 1
+        # the coefficient of t^j is base-q digit d-1-j of the index, as in
+        # itertools.product; each code is spread over its f base-p limbs
+        for j in range(d):
+            code = index // np.uint64(q ** (d - 1 - j)) % np.uint64(q)
+            for e in range(f):
+                limbs[:, j, e] = code // np.uint64(p**e) % np.uint64(p)
+        raw = memoryview(limbs.tobytes())
+        yield [
+            int.from_bytes(raw[i : i + nbytes], "little")
+            for i in range(0, len(raw), nbytes)
+        ]
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:

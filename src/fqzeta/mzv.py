@@ -10,6 +10,13 @@ vanishing threshold of -s_i.  Exact evaluation and the structural
 criterion are required to agree; any mismatch raises
 VanishingMismatchError instead of being classified away.
 
+The criterion reads only s_1, ..., s_{r-1}.  Evaluation therefore goes a
+grid row at a time: one engine call takes the tuples head + (x,) for a
+list of last entries x, decides the row's classification once, and still
+compares every tuple's exact value with it, raising for the first tuple
+that disagrees.  A single tuple is a one-entry row; a sweep, with s_r
+fastest, is one row per head.
+
 Mixed and positive signs are evaluated with exact rational arithmetic;
 the series is finite exactly when s_1 < 0 (the leading degree is then
 bounded), otherwise it is truncated at an explicit degree cap and the
@@ -22,11 +29,19 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import floor
-from typing import Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .digitlab import PrimePower, vanishing_threshold
 from .errors import PreconditionError, ResourceLimitError, VanishingMismatchError
-from .fqpoly import CACHE_LIMIT, INF, FieldSpec, PackedSum, Poly, RationalFn
+from .fqpoly import (
+    CACHE_LIMIT,
+    INF,
+    FieldSpec,
+    PackedSum,
+    Poly,
+    RationalFn,
+    canonical_values,
+)
 from .powersum import (
     power_sum_bruteforce,
     power_sum_formula,
@@ -47,6 +62,8 @@ __all__ = [
     "zeta_mixed",
     "goss_vanishing",
     "sweep_negative",
+    "sweep_text",
+    "zeta_record",
 ]
 
 NONZERO = "nonzero"
@@ -99,20 +116,39 @@ class ZetaResult:
         return self.value.t_valuation
 
     def to_json_dict(self) -> dict:
-        pp = self.index.field.pp
-        val = self.valuation
-        return {
-            "q": pp.q,
-            "p": pp.p,
-            "f": pp.f,
-            "modulus": self.index.field.modulus_text(),
-            "s": list(self.index.s),
-            "depth": self.index.depth,
-            "value": self.value.text(),
-            "valuation": "inf" if val is INF else val,
-            "classification": self.classification,
-            "exact": self.exact,
-        }
+        return zeta_record(
+            self.index.field,
+            self.index.s,
+            self.value.text(),
+            self.valuation,
+            self.classification,
+            self.exact,
+        )
+
+
+def zeta_record(
+    field: FieldSpec,
+    s: tuple[int, ...],
+    text: str,
+    valuation,
+    classification: str,
+    exact: bool,
+) -> dict:
+    """The JSON record of one evaluated tuple: the one owner of its keys,
+    their order and the text of an infinite valuation."""
+    pp = field.pp
+    return {
+        "q": pp.q,
+        "p": pp.p,
+        "f": pp.f,
+        "modulus": field.modulus_text(),
+        "s": list(s),
+        "depth": len(s),
+        "value": text,
+        "valuation": "inf" if valuation is INF else valuation,
+        "classification": classification,
+        "exact": exact,
+    }
 
 
 @lru_cache(maxsize=CACHE_LIMIT)
@@ -165,18 +201,25 @@ def zeta_valuation(s: tuple[int, ...], q: PrimePower) -> int:
 
 
 class _NegativeEngine:
-    """Shared caches for exact all-negative evaluation.
+    """Exact all-negative evaluation, one grid row at a time.
 
-    Stores packed power-sum polynomials keyed by (d, k), which is also the
-    memo of the power-sum recurrence, and, per prefix length, the
-    suffix-sum tables of the last prefix seen, so that a lexicographic
-    sweep reuses all shared prefixes.
+    A row is the tuples head + (x,) for x in a list of last entries.  The
+    engine stores packed power-sum polynomials keyed by (d, k), which is
+    also the memo of the power-sum recurrence, and, per head length, the
+    suffix-sum table of the last head seen, so that a lexicographic sweep
+    reuses all shared heads.  Vanishing thresholds come from ``floors``,
+    floor(L(k)) for each exponent k of the grid, computed once.  The
+    polynomial, text and valuation of a value are built once per distinct
+    value for the engine's life, which is one evaluation or one sweep.
     """
 
-    def __init__(self, field: FieldSpec):
+    def __init__(self, field: FieldSpec, ks: Iterable[int]):
         self.field = field
+        self.floors = {k: floor(vanishing_threshold(k, field.pp)) for k in ks}
         self._s_packed: dict[tuple[int, int], int] = {}
         self._levels: dict[int, tuple[tuple[int, ...], list[int]]] = {}
+        self._polys: dict[int, Poly] = {}
+        self._shown: dict[int, tuple[str, int]] = {}
 
     def s_packed(self, d: int, k: int) -> int:
         cached = self._s_packed.get((d, k))
@@ -184,20 +227,20 @@ class _NegativeEngine:
             cached = power_sum_packed(d, k, self.field, self._s_packed)
         return cached
 
-    def suffix_table(self, prefix: tuple[int, ...]) -> list[int]:
-        """T_i(m) for i = len(prefix), m = 0 .. bound_i + 1, canonical packed.
+    def suffix_table(self, head: tuple[int, ...]) -> list[int]:
+        """T(m) for m = 0 .. floor(L(-head[-1])) + 1, canonical packed.
 
-        T_i(m) sums, over chains d_i > d_{i+1} > ... (all within their
-        thresholds) with d_i >= m, the products of the matching power
-        sums of prefix entries i, i+1, ... read innermost-first.
+        T(m) sums, over chains d_1 > ... > d_i >= m (i = len(head), each
+        d_j within the threshold of -head[j-1]), the products of
+        S(d_j, head[j-1]).
         """
-        i = len(prefix)
+        i = len(head)
         cached = self._levels.get(i)
-        if cached is not None and cached[0] == prefix:
+        if cached is not None and cached[0] == head:
             return cached[1]
-        k = -prefix[0]
-        bound = _threshold_floor(k, self.field.pp)
-        deeper = self.suffix_table(prefix[1:]) if i > 1 else None
+        k = -head[-1]
+        bound = self.floors[k]
+        deeper = self.suffix_table(head[:-1]) if i > 1 else None
         table = [0] * (bound + 2)
         run = PackedSum(self.field)
         for m in range(bound, -1, -1):
@@ -206,66 +249,118 @@ class _NegativeEngine:
             elif m + 1 < len(deeper) and deeper[m + 1]:
                 run.add(self.s_packed(m, k), deeper[m + 1])
             table[m] = run.canonical()
-        self._levels[i] = (prefix, table)
+        self._levels[i] = (head, table)
         return table
 
-    def zeta_packed(self, s: tuple[int, ...]) -> int:
-        """zeta(s) as a packed sum, not necessarily canonical."""
-        # suffix tables are keyed with s_1 innermost, so feed the reverse;
-        # the outermost level only needs m = 0, so its products go into
-        # one running sum instead of a table
-        rev = s[::-1]
-        if len(rev) == 1:
-            return self.suffix_table(rev)[0]
-        k = -rev[0]
-        bound = _threshold_floor(k, self.field.pp)
-        deeper = self.suffix_table(rev[1:])
-        total = PackedSum(self.field)
-        for d in range(min(bound + 1, len(deeper) - 1)):
-            if deeper[d + 1]:
-                total.add(self.s_packed(d, k), deeper[d + 1])
-        return total.value
+    def values(self, head: tuple[int, ...], tails: Sequence[int]) -> list[int]:
+        """Canonical packed zeta(head + (x,)) for each x in tails: the sum
+        over d of S(d, x) * T(d + 1), T the suffix table of head (1 for the
+        empty head), renormalized by one fold for the whole row."""
+        floors = self.floors
+        deeper = self.suffix_table(head) if head else None
+        sums = []
+        for x in tails:
+            k = -x
+            total = PackedSum(self.field)
+            if deeper is None:
+                for d in range(floors[k] + 1):
+                    total.add(self.s_packed(d, k))
+            else:
+                for d in range(min(floors[k] + 1, len(deeper) - 1)):
+                    if deeper[d + 1]:
+                        total.add(self.s_packed(d, k), deeper[d + 1])
+            sums.append(total.value)
+        return canonical_values(sums, self.field)
+
+    def row(
+        self, head: tuple[int, ...], tails: Sequence[int]
+    ) -> list[tuple[int, str]]:
+        """(canonical packed value, classification) of zeta(head + (x,))
+        for each x in tails.
+
+        The trivial-zero criterion ranges over i <= r-1 only, so it is
+        decided once for the row; every value is still compared with it,
+        and a disagreement raises VanishingMismatchError naming its tuple.
+        """
+        values = self.values(head, tails)
+        if not head:
+            return [(n, NONZERO if n else NOT_APPLICABLE) for n in values]
+        r = len(head) + 1
+        trivial = any(r - i > self.floors[-x] for i, x in enumerate(head, 1))
+        for x, n in zip(tails, values):
+            if not n and not trivial:
+                raise VanishingMismatchError(
+                    f"zeta{head + (x,)} = 0 but no structural index forces it: "
+                    "either an arithmetic bug or a genuine counterexample"
+                )
+            if n and trivial:
+                raise VanishingMismatchError(
+                    f"zeta{head + (x,)} != 0 yet the trivial-zero criterion "
+                    "holds; arithmetic bug"
+                )
+        cls = TRIVIAL_ZERO if trivial else NONZERO
+        return [(n, cls) for n in values]
+
+    def sweep(
+        self, heads: Iterable[tuple[int, ...]], tails: Sequence[int]
+    ) -> Iterator[tuple[tuple[int, ...], int, str]]:
+        """(s, canonical packed zeta(s), classification) for s = head + (x,),
+        x in tails, one ``row`` per head."""
+        for head in heads:
+            for x, (n, cls) in zip(tails, self.row(head, tails)):
+                yield head + (x,), n, cls
+
+    def poly(self, n: int) -> Poly:
+        """The polynomial of canonical packed n."""
+        value = self._polys.get(n)
+        if value is None:
+            value = self._polys[n] = Poly.from_packed(self.field, n)
+        return value
+
+    def shown(self, n: int) -> tuple[str, object]:
+        """Text and t-valuation of canonical packed n."""
+        if not n:
+            return "0", INF
+        got = self._shown.get(n)
+        if got is None:
+            value = Poly.from_packed(self.field, n)
+            got = self._shown[n] = (value.text(), value.t_valuation)
+        return got
 
 
-def _classify_checked(
-    s: tuple[int, ...], q: PrimePower, is_zero: bool
-) -> str:
-    r = len(s)
-    if r == 1:
-        return NOT_APPLICABLE if is_zero else NONZERO
-    trivial = _trivial_criterion(s, q)
-    if is_zero and not trivial:
-        raise VanishingMismatchError(
-            f"zeta{s} = 0 but no structural index forces it: either an "
-            "arithmetic bug or a genuine counterexample"
-        )
-    if not is_zero and trivial:
-        raise VanishingMismatchError(
-            f"zeta{s} != 0 yet the trivial-zero criterion holds; "
-            "arithmetic bug"
-        )
-    return TRIVIAL_ZERO if is_zero else NONZERO
-
-
-def zeta_negative(
-    s: Union[tuple[int, ...], list[int]],
-    field: FieldSpec,
-    _engine: Optional[_NegativeEngine] = None,
-) -> ZetaResult:
+def zeta_negative(s: Union[tuple[int, ...], list[int]], field: FieldSpec) -> ZetaResult:
     """Exact evaluation of zeta at an all-negative tuple.
 
     The value is a polynomial; the summation runs over descending degree
     chains with each degree capped by its vanishing threshold (outer
     degrees descend first in the fixed summation order).  The result is
     classified against the structural criterion; disagreement raises.
+    This is a one-row call of the sweep engine.
     """
     idx = ZetaIndex(field, tuple(s))
     if not idx.all_negative:
         raise PreconditionError("zeta_negative needs all-negative entries")
-    engine = _engine if _engine is not None else _NegativeEngine(field)
-    value = Poly.from_packed(field, engine.zeta_packed(idx.s))
-    cls = _classify_checked(idx.s, field.pp, value.is_zero)
-    return ZetaResult(idx, value, cls, True)
+    engine = _NegativeEngine(field, {-x for x in idx.s})
+    [(n, cls)] = engine.row(idx.s[:-1], idx.s[-1:])
+    return ZetaResult(idx, engine.poly(n), cls, True)
+
+
+def _grid_rows(
+    depth: int, smin: int, smax: int, prefix: tuple[int, ...]
+) -> tuple[Iterable[tuple[int, ...]], Sequence[int]]:
+    """The rows of the sweep over prefix + [smin, smax]^(depth - len(prefix))
+    in lexicographic order, as their heads and their common last entries."""
+    if smin > smax or smax > -1:
+        raise ValueError("need smin <= smax <= -1")
+    if depth < 1:
+        raise ValueError("index tuple must have depth >= 1")
+    if len(prefix) > depth or any(not smin <= x <= smax for x in prefix):
+        raise ValueError("prefix needs at most depth entries in [smin, smax]")
+    if len(prefix) == depth:
+        return [prefix[:-1]], prefix[-1:]
+    entries = range(smin, smax + 1)
+    mids = itertools.product(entries, repeat=depth - len(prefix) - 1)
+    return (prefix + mid for mid in mids), entries
 
 
 def sweep_negative(
@@ -277,17 +372,36 @@ def sweep_negative(
 ) -> Iterator[ZetaResult]:
     """All-negative sweep over the tuples prefix + tail, with tail running
     over [smin, smax]^(depth - len(prefix)) in lexicographic order; one
-    exact ZetaResult per tuple, sharing caches across tuples.  The empty
-    prefix sweeps the whole grid [smin, smax]^depth."""
-    if smin > smax or smax > -1:
-        raise ValueError("need smin <= smax <= -1")
-    prefix = tuple(prefix)
-    if len(prefix) > depth or any(not smin <= x <= smax for x in prefix):
-        raise ValueError("prefix needs at most depth entries in [smin, smax]")
-    engine = _NegativeEngine(field)
-    entries = range(smin, smax + 1)
-    for tail in itertools.product(entries, repeat=depth - len(prefix)):
-        yield zeta_negative(prefix + tail, field, _engine=engine)
+    exact ZetaResult per tuple.  The empty prefix sweeps the whole grid
+    [smin, smax]^depth.
+
+    One engine serves the sweep.  It evaluates a row of tuples (all last
+    entries under one head) per call and classifies the row once, but
+    compares every tuple's value with that classification and raises
+    VanishingMismatchError naming the first tuple that disagrees.  Equal
+    values share one Poly.
+    """
+    heads, tails = _grid_rows(depth, smin, smax, tuple(prefix))
+    engine = _NegativeEngine(field, range(-smax, -smin + 1))
+    for s, n, cls in engine.sweep(heads, tails):
+        yield ZetaResult(ZetaIndex(field, s), engine.poly(n), cls, True)
+
+
+def sweep_text(
+    field: FieldSpec,
+    depth: int,
+    smin: int,
+    smax: int = -1,
+    prefix: tuple[int, ...] = (),
+) -> Iterator[tuple[tuple[int, ...], str, object, str]]:
+    """The sweep of ``sweep_negative`` as (s, value text, t-valuation,
+    classification) per tuple, with no per-tuple result object: text and
+    valuation are built once per distinct value of the sweep."""
+    heads, tails = _grid_rows(depth, smin, smax, tuple(prefix))
+    engine = _NegativeEngine(field, range(-smax, -smin + 1))
+    for s, n, cls in engine.sweep(heads, tails):
+        text, val = engine.shown(n)
+        yield s, text, val, cls
 
 
 def zeta_mixed(

@@ -37,6 +37,7 @@ from .fqpoly import (
     RationalFn,
     block_size,
     canonical_products,
+    monic_blocks,
     monic_polys,
 )
 
@@ -188,9 +189,10 @@ def bruteforce_power_table(d: int, kmax: int, field: FieldSpec) -> list[Poly]:
     Entry k of the returned list (1-based; entry 0 is S(d, 0)) matches
     power_sum_bruteforce(d, -k) but the whole sweep shares the running
     powers a, a^2, ..., a^kmax of each monic, a^k = a^(k-1) * a.  The
-    monics go in blocks sized by ``fqpoly.block_size``: for each block and
-    each k one ``canonical_products`` call steps every running power of the
-    block and returns the block's part of the sum, so only one block's
+    monics come packed from ``fqpoly.monic_blocks`` in blocks sized by
+    ``fqpoly.block_size``: for each block and each k one
+    ``canonical_products`` call steps every running power of the block and
+    returns the block's part of the sum, so only one block's monics and
     powers are live at a time.  Refuses to start when q^d exceeds
     BRUTE_FORCE_LIMIT.
     """
@@ -202,9 +204,7 @@ def bruteforce_power_table(d: int, kmax: int, field: FieldSpec) -> list[Poly]:
             f"q^d = {count} exceeds the brute-force guard {BRUTE_FORCE_LIMIT}"
         )
     acc = [PackedSum(field) for _ in range(kmax + 1)]
-    monics = (a.packed() for a in monic_polys(field, d))
-    step = block_size(field, d * kmax + 1)
-    while block := list(itertools.islice(monics, step)):
+    for block in monic_blocks(field, d, block_size(field, d * kmax + 1)):
         # entry 0: a^0 = 1 for every monic of the block
         acc[0].add_scaled(1, len(block) % field.pp.p, 0)
         cur = [1] * len(block)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from fqzeta import cli, field_from_q, zeta_negative
 from fqzeta.cli import main
 
 
@@ -251,6 +252,65 @@ class TestSweepCommand:
         assert [tuple(r["s"]) for r in recs] == sorted(
             tuple(r["s"]) for r in recs
         )
+
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_records_match_single_evaluations(self, capsys, depth):
+        code, out, _ = run(
+            capsys,
+            "sweep", "--q", "2,3,9", "--depth", str(depth), "--smin", "-8",
+            "--format", "json",
+        )
+        assert code == 0
+        recs = json.loads(out)
+        assert len(recs) == 3 * 8**depth
+        fields = {q: field_from_q(q) for q in (2, 3, 9)}
+        for rec in recs:
+            assert rec == zeta_negative(rec["s"], fields[rec["q"]]).to_json_dict()
+
+    def test_depth_one_jobs(self, capsys):
+        # each --jobs task is then a full-length prefix
+        argv = ("sweep", "--q", "2,9", "--depth", "1", "--smin", "-20")
+        _, one, _ = run(capsys, *argv)
+        _, two, _ = run(capsys, *argv, "--jobs", "2")
+        assert one == two
+        assert "nonzero" in one and "not_applicable" in one
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_usage_error(self, capsys, jobs):
+        code, out, err = run(
+            capsys, "sweep", "--q", "3", "--smin", "-2", "--jobs", jobs
+        )
+        assert (code, out) == (1, "")
+        assert "--jobs" in err
+
+    @pytest.mark.parametrize("jobs, cpus, workers", [(64, 8, 6), (64, 4, 4), (3, 8, 3)])
+    def test_jobs_capped(self, capsys, monkeypatch, jobs, cpus, workers):
+        # a stand-in pool records its size and maps in this process, so no
+        # worker process is ever started
+        sizes = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        argv = ("sweep", "--q", "2,3", "--depth", "2", "--smin", "-3")
+        code, pooled, _ = run(capsys, *argv, "--jobs", str(jobs))
+        assert code == 0
+        # six tasks: one per (q, s_1)
+        assert sizes == [workers]
+        assert pooled == run(capsys, *argv)[1]
 
 
 class TestVerifyCommand:

@@ -1,3 +1,4 @@
+import pickle
 import random
 import time
 
@@ -20,6 +21,8 @@ from fqzeta.fqpoly import (
     _mul_packed,
     _mul_schoolbook,
     canonical_products,
+    canonical_values,
+    monic_blocks,
     poly_gcd,
 )
 from fqzeta.mzv import _threshold_floor
@@ -166,6 +169,24 @@ class TestPolyBasics:
         assert Poly(F9, (0, 3)).text() == "[0,1]*t"
         assert Poly(F9, (2, 1)).text() == "t+[2,0]"
 
+    def test_text_unit_and_other_coefficients(self, F3, F9):
+        # a unit coefficient is dropped before t and t^k but kept alone
+        assert Poly(F3, (1, 2, 1)).text() == "t^2+2*t+1"
+        assert Poly(F9, (1,)).text() == "[1,0]"
+        assert Poly(F9, (0, 1, 7)).text() == "[1,2]*t^2+t"
+        assert Poly(F9, (5, 3, 0, 4, 1)).text() == "t^4+[1,1]*t^3+[0,1]*t+[2,1]"
+
+    @pytest.mark.parametrize(
+        "q, d, size",
+        [(2, 3, 3), (4, 2, 16), (9, 2, 7), (257, 1, 100), (65521, 1, 4096), (3, 0, 5)],
+    )
+    def test_monic_blocks_are_the_packed_monics(self, q, d, size):
+        field = field_from_q(q)
+        blocks = list(monic_blocks(field, d, size))
+        assert all(0 < len(b) <= size for b in blocks)
+        packed = [a.packed() for a in monic_polys(field, d)]
+        assert [n for b in blocks for n in b] == packed
+
     def test_monic_enumeration_count(self, F3, F9):
         assert sum(1 for _ in monic_polys(F3, 2)) == 9
         assert sum(1 for _ in monic_polys(F9, 1)) == 9
@@ -264,6 +285,29 @@ class TestPolyMultiplicationRoutes:
         assert products == [e.packed() for e in expected]
         assert total == sum(expected, Poly.zero(field)).packed()
         assert canonical_products([], [], field) == ([], 0)
+
+    @pytest.mark.parametrize("q", [2, 9, 257])
+    def test_canonical_values(self, q):
+        # running sums a * b + b, not renormalized, come back canonical;
+        # a zero sum stays 0
+        field = field_from_q(q)
+        rng = random.Random(q)
+
+        def dense(n):
+            return Poly(field, [rng.randrange(q) for _ in range(n)] + [1])
+
+        pairs = [(dense(rng.randrange(30)), dense(rng.randrange(30))) for _ in range(12)]
+        sums = [
+            PackedSum(field).add(a.packed(), b.packed()).add(b.packed()).value
+            for a, b in pairs
+        ]
+        expected = [
+            Poly(field, oracles.naive_poly_mul_codes(a.coeffs, b.coeffs, field)) + b
+            for a, b in pairs
+        ]
+        got = canonical_values(sums + [0], field)
+        assert got == [e.packed() for e in expected] + [0]
+        assert canonical_values([0, 0], field) == [0, 0]
 
     @pytest.mark.parametrize("q", [9, 257])
     def test_packed_sum_add_scaled(self, q):
@@ -379,3 +423,7 @@ class TestInfinity:
         assert INF + 5 is INF
         assert 5 + INF is INF
         assert repr(INF) == "inf"
+
+    def test_pickles_as_itself(self):
+        # sweep workers send valuations back to the parent process
+        assert pickle.loads(pickle.dumps(INF)) is INF

@@ -119,6 +119,25 @@ def test_readme_sweep_digest(capsys, fmt, jobs):
     assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_SHA256[fmt]
 
 
+# sha256 of the stdout of `fqzeta sweep --q 2,3,9 --depth 3 --smin -12`,
+# taken before sweeps were evaluated one grid row per engine call
+DEPTH3_SWEEP_SHA256 = {
+    "csv": "d480f585780034075dff74325f6cc9d58532e0a91ede6b2bf829dacb3345c11f",
+    "json": "bb4094fbeb65ebd42a1abc5b39f77bc727bde0eb82b0feec8332d24b2c612a15",
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_depth_three_sweep_digest(capsys, fmt, jobs):
+    out = run(
+        capsys,
+        "sweep", "--q", "2,3,9", "--depth", "3", "--smin", "-12",
+        "--format", fmt, "--jobs", jobs,
+    )
+    assert hashlib.sha256(out.encode()).hexdigest() == DEPTH3_SWEEP_SHA256[fmt]
+
+
 VERIFY_MZV_LINES = [
     "PASS mixed-sign-example: all displayed identities reproduced exactly",
     "PASS trivial-zero-equivalence: 2304 tuples evaluated exactly, 1856 zeros, "

@@ -15,6 +15,9 @@ from fqzeta import (
     zeta_negative,
     zeta_valuation,
 )
+from fqzeta import mzv
+from fqzeta.cli import main
+from fqzeta.errors import VanishingMismatchError
 from fqzeta.mzv import NONZERO, NOT_APPLICABLE, TRIVIAL_ZERO
 
 
@@ -264,3 +267,36 @@ class TestSweep:
             "classification",
             "exact",
         }
+
+
+class TestRowMismatch:
+    """The engine classifies a row once but checks every tuple's value."""
+
+    @pytest.mark.parametrize(
+        "s, forced, cls, message",
+        [
+            ((-2, -2), 0, NONZERO, "= 0 but no structural index forces it"),
+            ((-1, -2), 1, TRIVIAL_ZERO, "!= 0 yet the trivial-zero criterion holds"),
+        ],
+    )
+    def test_wrong_value_of_one_tuple_raises(
+        self, monkeypatch, capsys, F3, s, forced, cls, message
+    ):
+        assert zeta_negative(s, F3).classification == cls
+        values = mzv._NegativeEngine.values
+
+        def wrong_on_one(engine, head, tails):
+            out = values(engine, head, tails)
+            if (engine.field.pp.q, head) == (3, s[:-1]) and s[-1] in tails:
+                out[list(tails).index(s[-1])] = forced
+            return out
+
+        monkeypatch.setattr(mzv._NegativeEngine, "values", wrong_on_one)
+        with pytest.raises(VanishingMismatchError) as exc:
+            list(sweep_negative(F3, 2, -3))
+        assert f"zeta{s} {message}" in str(exc.value)
+        assert main(["sweep", "--q", "3", "--depth", "2", "--smin", "-3"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"zeta{s} {message}" in out.err
+

@@ -78,14 +78,15 @@ def test_trivial_zero_failure_is_reported_alone(monkeypatch, reference):
 
 
 def test_evaluation_error_fails_both_checks(monkeypatch):
-    evaluate = mzv.zeta_negative
+    # the sweep evaluates a row of tuples head + (x,) per engine call
+    row = mzv._NegativeEngine.row
 
-    def raising_on_one(s, field, **kwargs):
-        if (field.pp.q, tuple(s)) == (3, (-4, -1)):
+    def raising_on_one(engine, head, tails):
+        if (engine.field.pp.q, head) == (3, (-4,)) and -1 in tails:
             raise VanishingMismatchError("injected at (-4, -1)")
-        return evaluate(s, field, **kwargs)
+        return row(engine, head, tails)
 
-    monkeypatch.setattr(mzv, "zeta_negative", raising_on_one)
+    monkeypatch.setattr(mzv._NegativeEngine, "row", raising_on_one)
     got = _by_name(verify.run_mzv_suite(**SMALL))
     for name in ("trivial-zero-equivalence", "valuation-additivity"):
         assert got[name] == (False, "injected at (-4, -1)")
