@@ -21,6 +21,14 @@ earliest parts, per digit class) is simultaneously the lexicographically
 largest and the unique minimum-weight member, which gives fast structural
 routes to the greedy, modest and optimal compositions.  The selections
 made from the full enumeration, their independent oracle, live in verify.
+
+A tuple expanded from a valid class matrix is carry-free (its columns sum
+to the target's class vector) and q-even in its constrained slots (those
+columns are even-class) by construction, so the enumerators and the
+greedy / modest / optimal routes build their results with the private
+trusted constructor Composition._trusted, which skips re-validation.  It
+is used only for such tuples; the public Composition(...) always
+validates.
 """
 
 from __future__ import annotations
@@ -30,14 +38,13 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .digitlab import (
-    ClassVector,
     PrimePower,
+    _shift_weights,
     base_digits,
     capacity_equals,
     capacity_exceeds,
     carry_free_add,
     digit_class_vector,
-    digit_sum_coords,
 )
 from .errors import EmptySetError, ResourceLimitError
 
@@ -88,6 +95,19 @@ class Composition:
         if any(p <= 0 or not self.q.is_q_even(p) for p in cons):
             raise ValueError("constrained parts must be positive and q-even")
 
+    @classmethod
+    def _trusted(
+        cls, q: PrimePower, parts: tuple[int, ...], kind: str, target: int
+    ) -> "Composition":
+        """Composition of parts already known to be valid: only for tuples
+        expanded from a valid class matrix."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "target", target)
+        return self
+
     @property
     def constrained_slice(self) -> tuple[int, ...]:
         if self.kind == HEAD:
@@ -127,9 +147,10 @@ class ClassMatrix:
         sums = tuple(sum(col[i] for col in self.columns) for i in range(self.q.f))
         if sums != total:
             return False
+        powers = _shift_weights(self.q, 0)
+        qm1 = self.q.q - 1
         for col in self.columns[:-1]:
-            v = ClassVector(self.q, col)
-            if v.is_zero or not _even_dot(self.q, col):
+            if not any(col) or not _even_dot(col, powers, qm1):
                 return False
         return True
 
@@ -146,11 +167,10 @@ def power_classes(n: int, q: PrimePower) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(s) for s in seqs)
 
 
-def _even_dot(q: PrimePower, entries: Sequence[int]) -> bool:
-    # Divisibility of the weighted digit count by q-1; equivalent to the
-    # integrality of every digit-sum coordinate.
-    dot = sum(e * q.p**i for i, e in enumerate(entries))
-    return dot % (q.q - 1) == 0
+def _even_dot(entries: Sequence[int], powers: Sequence[int], qm1: int) -> bool:
+    # Divisibility of the weighted digit count (powers[i] = p^i) by q-1;
+    # equivalent to the integrality of every digit-sum coordinate.
+    return sum(e * w for e, w in zip(entries, powers)) % qm1 == 0
 
 
 def _digit_guard(n: int, q: PrimePower) -> None:
@@ -168,24 +188,29 @@ def _digit_guard(n: int, q: PrimePower) -> None:
 
 
 def _iter_columns(
-    remaining: tuple[int, ...], cols_left: int, q: PrimePower
+    remaining: tuple[int, ...],
+    cols_left: int,
+    rows: tuple[tuple[int, ...], ...],
+    qm1: int,
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
+    # rows are the (q-1)-scaled digit-sum weight rows, so the capacity
+    # bound below is compared in integers scaled by q-1; row 0 is p^i
     if cols_left == 1:
         yield (remaining,)
         return
+    floor = (cols_left - 2) * qm1
     # candidate even-class columns below the remaining budget, in
     # lexicographic order so the overall matrix order is deterministic
     for cand in itertools.product(*[range(e + 1) for e in remaining]):
-        if not any(cand) or not _even_dot(q, cand):
+        if not any(cand) or not _even_dot(cand, rows[0], qm1):
             continue
         rest = tuple(r - c for r, c in zip(remaining, cand))
         if any(rest):
-            coords = digit_sum_coords(ClassVector(q, rest))
-            if min(coords) < cols_left - 2:
+            if min(sum(w * r for w, r in zip(row, rest)) for row in rows) < floor:
                 continue
         elif cols_left > 2:
             continue
-        for tail in _iter_columns(rest, cols_left - 1, q):
+        for tail in _iter_columns(rest, cols_left - 1, rows, qm1):
             yield (cand,) + tail
 
 
@@ -199,9 +224,9 @@ def valid_class_matrices(n: int, d: int, q: PrimePower) -> tuple[ClassMatrix, ..
         raise ValueError("need n >= 1 and d >= 1")
     _digit_guard(n, q)
     total = digit_class_vector(n, q).entries
-    mats = [
-        ClassMatrix(q, cols, n) for cols in _iter_columns(total, d, q)
-    ]
+    rows = tuple(_shift_weights(q, i) for i in range(q.f))
+    columns = _iter_columns(total, d, rows, q.q - 1)
+    mats = [ClassMatrix(q, cols, n) for cols in columns]
     mats.sort(key=lambda m: m.columns)
     return tuple(mats)
 
@@ -234,7 +259,7 @@ def monotone_rep(matrix: ClassMatrix) -> Composition:
     if not matrix.is_valid():
         raise ValueError("matrix is not valid for its target")
     parts = _monotone_parts(matrix.columns, matrix.target, matrix.q)
-    return Composition(matrix.q, parts, TAIL, matrix.target)
+    return Composition._trusted(matrix.q, parts, TAIL, matrix.target)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +332,7 @@ def enumerate_tail_free(
                 f"more than {max_results} compositions; raise max_results"
             )
     out.sort()
-    return tuple(Composition(q, p, TAIL, n) for p in out)
+    return tuple(Composition._trusted(q, p, TAIL, n) for p in out)
 
 
 def enumerate_head_free(
@@ -332,7 +357,7 @@ def enumerate_head_free(
                 f"more than {max_results} compositions; raise max_results"
             )
     out.sort()
-    return tuple(Composition(q, p, HEAD, k) for p in out)
+    return tuple(Composition._trusted(q, p, HEAD, k) for p in out)
 
 
 def tail_free_nonempty(n: int, d: int, q: PrimePower) -> bool:
@@ -370,11 +395,11 @@ def modest(target: int, d: int, q: PrimePower, kind: str = HEAD) -> Composition:
         reps = _tail_monotone_reps(target, d + 1, q)
         if not reps:
             raise EmptySetError(f"no head-free compositions of {target} at d={d}")
-        return Composition(q, max(reps)[::-1], HEAD, target)
+        return Composition._trusted(q, max(reps)[::-1], HEAD, target)
     reps = _tail_monotone_reps(target, d, q)
     if not reps:
         raise EmptySetError(f"no tail-free compositions of {target} at d={d}")
-    return Composition(q, max(reps), TAIL, target)
+    return Composition._trusted(q, max(reps), TAIL, target)
 
 
 def greedy(k: int, d: int, q: PrimePower) -> Composition:
@@ -391,7 +416,7 @@ def greedy(k: int, d: int, q: PrimePower) -> Composition:
         parts = _monotone_parts(head_cols, k, q)
         if best is None or parts > best:
             best = parts
-    return Composition(q, best, HEAD, k)
+    return Composition._trusted(q, best, HEAD, k)
 
 
 def optimal_set(n: int, d: int, q: PrimePower) -> tuple[Composition, ...]:
@@ -403,7 +428,7 @@ def optimal_set(n: int, d: int, q: PrimePower) -> tuple[Composition, ...]:
     reps = _tail_monotone_reps(n, d, q)
     if not reps:
         raise EmptySetError(f"no tail-free compositions of {n} at d={d}")
-    comps = [Composition(q, parts, TAIL, n) for parts in reps]
+    comps = [Composition._trusted(q, parts, TAIL, n) for parts in reps]
     best = min(c.weight for c in comps)
     winners = sorted(
         (c for c in comps if c.weight == best), key=lambda c: c.parts

@@ -15,11 +15,15 @@ rest of the package:
   nonnegative nonzero vectors whose digit-sum coordinates are integers;
 * an integer splits into many carry-free q-even parts precisely when the
   minimum of its digit-sum coordinates (its "split capacity") is large.
+
+The coordinates are computed as integer numerators: (q - 1) times
+coordinate i is sum_j p^((j - i) mod f) * e_j.  Every criterion here
+compares those integers directly (a multiple of q - 1, a bound scaled by
+q - 1); a Fraction is built only where a public function returns one.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -240,6 +244,16 @@ def shift_difference_inv(v: FracVector) -> FracVector:
     return FracVector(q, entries)
 
 
+def _scaled_coords(v: ClassVector) -> tuple[int, ...]:
+    # (q-1) times the digit-sum coordinates: the integer numerators that
+    # every coordinate criterion below compares.
+    q = v.q
+    return tuple(
+        sum(w * e for w, e in zip(_shift_weights(q, i), v.entries))
+        for i in range(q.f)
+    )
+
+
 def digit_sum_coords(v: ClassVector) -> tuple[Fraction, ...]:
     """Digit-sum coordinates of a class vector.
 
@@ -247,7 +261,7 @@ def digit_sum_coords(v: ClassVector) -> tuple[Fraction, ...]:
     whenever v is the class vector of n.  In particular coordinate 0 is
     the normalized base-q digit sum of n itself.
     """
-    return shift_difference_inv(v.as_fractions()).entries
+    return tuple(Fraction(c, v.q.q - 1) for c in _scaled_coords(v))
 
 
 def split_capacity(v: ClassVector) -> Fraction:
@@ -256,7 +270,7 @@ def split_capacity(v: ClassVector) -> Fraction:
     For v the class vector of n this equals vanishing_threshold(n, q); it
     bounds how many carry-free q-even parts n can be split into.
     """
-    return min(digit_sum_coords(v))
+    return Fraction(min(_scaled_coords(v)), v.q.q - 1)
 
 
 def vanishing_threshold(k: int, q: PrimePower) -> Fraction:
@@ -282,7 +296,8 @@ def is_even_class(v: ClassVector) -> bool:
     """
     if v.is_zero:
         return False
-    return all(c.denominator == 1 for c in digit_sum_coords(v))
+    qm1 = v.q.q - 1
+    return all(c % qm1 == 0 for c in _scaled_coords(v))
 
 
 def capacity_exceeds(v: ClassVector, bound: int) -> bool:
@@ -294,7 +309,8 @@ def capacity_exceeds(v: ClassVector, bound: int) -> bool:
     """
     if v.is_zero:
         return False
-    return all(c > bound for c in digit_sum_coords(v))
+    scaled = bound * (v.q.q - 1)
+    return all(c > scaled for c in _scaled_coords(v))
 
 
 def capacity_equals(v: ClassVector, m: int) -> bool:
@@ -306,10 +322,11 @@ def capacity_equals(v: ClassVector, m: int) -> bool:
     """
     if m <= 0 or v.is_zero:
         return False
-    coords = digit_sum_coords(v)
-    if any(c.denominator != 1 for c in coords):
+    qm1 = v.q.q - 1
+    coords = _scaled_coords(v)
+    if any(c % qm1 for c in coords):
         return False
-    return min(coords) == m
+    return min(coords) == m * qm1
 
 
 def extend_to_cover(u: ClassVector, v: ClassVector) -> ClassVector:
@@ -340,13 +357,16 @@ def extend_to_cover(u: ClassVector, v: ClassVector) -> ClassVector:
     if not (v <= u) or v.entries == u.entries:
         raise PreconditionError("need v < u componentwise with a strict entry")
 
-    beta = digit_sum_coords(u)
-    alpha = digit_sum_coords(v)
-    slacks = [math.floor(b) - math.ceil(a) for b, a in zip(beta, alpha)]
+    qm1 = q.q - 1
+    beta = _scaled_coords(u)
+    alpha = _scaled_coords(v)
+    floor_beta = [b // qm1 for b in beta]
+    ceil_alpha = [-(-a // qm1) for a in alpha]
+    slacks = [b - a for b, a in zip(floor_beta, ceil_alpha)]
     k = min(slacks)
     if k < 0:
         raise PreconditionError(f"cover slack is negative ({k})")
-    if k == 0 and all(b.denominator == 1 for b in beta):
+    if k == 0 and all(b % qm1 == 0 for b in beta):
         raise DegenerateCoverError(
             "no even-class cover with nonzero surplus exists: slack is 0 and "
             "the upper bound lies on the even-class lattice"
@@ -354,10 +374,10 @@ def extend_to_cover(u: ClassVector, v: ClassVector) -> ClassVector:
 
     l = slacks.index(k)
     g = [0] * f
-    g[l] = math.ceil(alpha[l])
+    g[l] = ceil_alpha[l]
     for step in range(1, f):
         i = (l - step) % f
-        g[i] = min(math.floor(beta[i]) - k, q.p * g[(i + 1) % f] - v.entries[i])
+        g[i] = min(floor_beta[i] - k, q.p * g[(i + 1) % f] - v.entries[i])
 
     w_entries = tuple(q.p * g[(i + 1) % f] - g[i] for i in range(f))
     return ClassVector(q, w_entries)

@@ -524,7 +524,7 @@ def run_compose_suite(
                 best_weight = None
                 for matrix in compose.valid_class_matrices(rest, d - 1, pp):
                     last_col = matrix.columns[-1]
-                    if not any(last_col) or not compose._even_dot(pp, last_col):
+                    if not digitlab.is_even_class(ClassVector(pp, last_col)):
                         continue
                     cand = compose._monotone_parts(matrix.columns, rest, pp)
                     w = sum((j + 1) * x for j, x in enumerate(cand))
@@ -745,6 +745,10 @@ def run_power_sum_suite(
 ) -> list[CheckResult]:
     results = []
     formula_cache: dict[tuple[int, int, int], Poly] = {}
+    # whether the head-free index set of (q, d, k) is nonempty: recorded by
+    # extreme-degree-uniqueness, which enumerates every cell, and read by
+    # vanishing-threshold-agreement, which enumerates only cells it lacks
+    nonempty: dict[tuple[int, int, int], bool] = {}
 
     def formula_vs_bruteforce() -> str:
         compared = 0
@@ -774,7 +778,9 @@ def run_power_sum_suite(
                 for k in range(1, kmax + 1):
                     minw = maxw = None
                     min_count = max_count = 0
-                    for comp in compose.enumerate_head_free(k, d, pp):
+                    comps = compose.enumerate_head_free(k, d, pp)
+                    nonempty[(q, d, k)] = bool(comps)
+                    for comp in comps:
                         w = comp.weight
                         if minw is None or w < minw:
                             minw, min_count = w, 1
@@ -813,7 +819,11 @@ def run_power_sum_suite(
             pp = PrimePower.from_q(q)
             for d in range(0, dmax + 1):
                 for k in range(1, kmax + 1):
-                    empty = d > 0 and not compose.enumerate_head_free(k, d, pp)
+                    if d > 0 and (q, d, k) not in nonempty:
+                        nonempty[(q, d, k)] = bool(
+                            compose.enumerate_head_free(k, d, pp)
+                        )
+                    empty = d > 0 and not nonempty[(q, d, k)]
                     poly = formula_cache.get((q, d, k))
                     if poly is None:
                         poly = powersum.power_sum_formula(
