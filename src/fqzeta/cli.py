@@ -28,7 +28,7 @@ from .errors import (
     ResourceLimitError,
     VanishingMismatchError,
 )
-from .fqpoly import INF, FieldSpec, field_from_q
+from .fqpoly import FieldSpec, field_from_q
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -78,17 +78,12 @@ def _emit(text: str, out: Optional[str]) -> None:
             fh.write(text)
 
 
-def _header_lines(field: FieldSpec, banner: bool) -> list[str]:
-    lines = []
-    if banner:
-        lines.append(f"# fqzeta {__version__}")
-    pp = field.pp
-    lines.append(f"# q={pp.q} p={pp.p} f={pp.f} modulus={field.modulus_text()}")
+def _header_lines(fields: Sequence[FieldSpec], banner: bool) -> list[str]:
+    lines = [f"# fqzeta {__version__}"] if banner else []
+    for field in fields:
+        pp = field.pp
+        lines.append(f"# q={pp.q} p={pp.p} f={pp.f} modulus={field.modulus_text()}")
     return lines
-
-
-def _val_text(v) -> str:
-    return "inf" if v is INF else str(v)
 
 
 # ---------------------------------------------------------------------------
@@ -119,11 +114,11 @@ def _cmd_powersum(args) -> int:
             payload.append({"agreement": agree})
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
     else:
-        lines = _header_lines(field, not args.no_banner)
+        lines = _header_lines([field], not args.no_banner)
         for r in results:
             lines.append(
                 f"S({r.d}, {r.s}) [{r.method}] = {r.value.text()}"
-                f"  valuation={_val_text(r.valuation)}"
+                f"  valuation={r.valuation}"
             )
         if len(results) == 2:
             lines.append(f"agreement: {'AGREE' if agree else 'DISAGREE'}")
@@ -156,11 +151,11 @@ def _cmd_mzv(args) -> int:
     if args.format == "json":
         _emit(json.dumps(res.to_json_dict(), indent=2) + "\n", args.out)
     else:
-        lines = _header_lines(field, not args.no_banner)
+        lines = _header_lines([field], not args.no_banner)
         stext = ", ".join(str(x) for x in res.index.s)
         lines.append(f"zeta({stext}) = {res.value.text()}")
         lines.append(
-            f"valuation={_val_text(res.valuation)}"
+            f"valuation={res.valuation}"
             f"  classification={res.classification}  exact={res.exact}"
         )
         _emit("\n".join(lines) + "\n", args.out)
@@ -178,7 +173,7 @@ def _cmd_compositions(args) -> int:
     if (args.k is None) == (args.N is None):
         raise PreconditionError("give exactly one of --k (head-free) or --N (tail-free)")
     what = args.what
-    lines = _header_lines(field, not args.no_banner)
+    lines = _header_lines([field], not args.no_banner)
     payload: list = []
 
     def comp_rows(comps: Sequence[compose.Composition]) -> None:
@@ -283,20 +278,14 @@ def _cmd_sweep(args) -> int:
         _emit(json.dumps(records, indent=2) + "\n", args.out)
     else:
         buf = io.StringIO()
-        if not args.no_banner:
-            buf.write(f"# fqzeta {__version__}\n")
-        for field in fields.values():
-            pp = field.pp
-            buf.write(
-                f"# q={pp.q} p={pp.p} f={pp.f} modulus={field.modulus_text()}\n"
-            )
+        for line in _header_lines(list(fields.values()), not args.no_banner):
+            buf.write(line + "\n")
         writer = csv.writer(buf)
         writer.writerow(_CSV_COLUMNS)
         for q, chunk in chunks:
             pp = fields[q].pp
             writer.writerows(
-                (pp.q, pp.p, pp.f, ",".join(map(str, s)), len(s), text,
-                 _val_text(val), cls, True)
+                (pp.q, pp.p, pp.f, ",".join(map(str, s)), len(s), text, val, cls, True)
                 for s, text, val, cls in chunk
             )
         _emit(buf.getvalue(), args.out)

@@ -14,7 +14,11 @@ rest of the package:
 * the class vectors of positive q-even integers are exactly the
   nonnegative nonzero vectors whose digit-sum coordinates are integers;
 * an integer splits into many carry-free q-even parts precisely when the
-  minimum of its digit-sum coordinates (its "split capacity") is large.
+  minimum of its digit-sum coordinates (its "split capacity") is large;
+* the vanishing threshold L(k), above which the power sums at exponent -k
+  vanish, is the split capacity of the class vector of k.  Its integer
+  floor, ``_threshold_floor``, is the one cached owner of the vanishing
+  rule d > L(k) that the power-sum and multizeta modules decide.
 
 The coordinates are computed as integer numerators: (q - 1) times
 coordinate i is sum_j p^((j - i) mod f) * e_j.  Every criterion here
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .errors import DegenerateCoverError, PreconditionError
@@ -48,6 +53,8 @@ __all__ = [
     "capacity_equals",
     "extend_to_cover",
 ]
+
+CACHE_LIMIT = 1 << 16  # entries in each cache that lives as long as the process
 
 
 def _is_prime(n: int) -> bool:
@@ -267,7 +274,7 @@ def digit_sum_coords(v: ClassVector) -> tuple[Fraction, ...]:
 def split_capacity(v: ClassVector) -> Fraction:
     """Minimum digit-sum coordinate of v.
 
-    For v the class vector of n this equals vanishing_threshold(n, q); it
+    For v the class vector of n this is the vanishing threshold L(n); it
     bounds how many carry-free q-even parts n can be split into.
     """
     return Fraction(min(_scaled_coords(v)), v.q.q - 1)
@@ -277,14 +284,19 @@ def vanishing_threshold(k: int, q: PrimePower) -> Fraction:
     """Threshold L such that the degree-d power sum at exponent -k vanishes
     exactly when d > L.
 
-    Computed as the minimum over 0 <= i < f of (base-q digit sum of
-    k * p^i) / (q - 1).  The value is an integer iff k is q-even.
+    L(k) is the split capacity of the class vector of k, that is the
+    minimum over 0 <= i < f of (base-q digit sum of k * p^i) / (q - 1).
+    The value is an integer iff k is q-even.
     """
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
-    return min(
-        Fraction(digit_sum_base_q(k * q.p**i, q), q.q - 1) for i in range(q.f)
-    )
+    return split_capacity(digit_class_vector(k, q))
+
+
+@lru_cache(maxsize=CACHE_LIMIT)
+def _threshold_floor(k: int, q: PrimePower) -> int:
+    # floor(L(k)) for k >= 1: an integer d exceeds L(k) iff it exceeds this
+    return min(_scaled_coords(digit_class_vector(k, q))) // (q.q - 1)
 
 
 def is_even_class(v: ClassVector) -> bool:

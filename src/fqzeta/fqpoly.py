@@ -36,7 +36,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .digitlab import PrimePower
+from .digitlab import CACHE_LIMIT, PrimePower
 
 __all__ = [
     "INF",
@@ -56,7 +56,6 @@ __all__ = [
 ]
 
 _TABLE_LIMIT = 1024  # f > 1 fields up to this q get q x q operation tables
-CACHE_LIMIT = 1 << 16  # entries in each cache that lives as long as the process
 _SCHOOLBOOK_CUTOFF = 2048
 _HEADROOM = 256  # coefficient products a limb of the chosen width holds
 _BLOCK_LIMBS = 1 << 16  # limbs one canonical_products fold should cover

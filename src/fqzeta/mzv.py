@@ -10,9 +10,12 @@ vanishing threshold of -s_i.  Exact evaluation and the structural
 criterion are required to agree; any mismatch raises
 VanishingMismatchError instead of being classified away.
 
-The criterion reads only s_1, ..., s_{r-1}.  Evaluation therefore goes a
-grid row at a time: one engine call takes the tuples head + (x,) for a
-list of last entries x, decides the row's classification once, and still
+The criterion reads only the head s_1, ..., s_{r-1}.  One head-level
+function, ``_trivial_criterion``, decides it for the engine,
+``classify_zero`` and ``zeta_valuation`` alike, reading the thresholds
+from ``digitlab._threshold_floor``.  Evaluation therefore goes a grid row
+at a time: one engine call takes the tuples head + (x,) for a list of
+last entries x, decides the row's classification once, and still
 compares every tuple's exact value with it, raising for the first tuple
 that disagrees.  A single tuple is a one-entry row; a sweep, with s_r
 fastest, is one row per head.
@@ -28,13 +31,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import floor
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .digitlab import PrimePower, vanishing_threshold
+from .digitlab import PrimePower, _threshold_floor
 from .errors import PreconditionError, ResourceLimitError, VanishingMismatchError
 from .fqpoly import (
-    CACHE_LIMIT,
     INF,
     FieldSpec,
     PackedSum,
@@ -151,15 +152,11 @@ def zeta_record(
     }
 
 
-@lru_cache(maxsize=CACHE_LIMIT)
-def _threshold_floor(k: int, q: PrimePower) -> int:
-    return floor(vanishing_threshold(k, q))
-
-
-def _trivial_criterion(s: tuple[int, ...], q: PrimePower) -> bool:
-    # r - i is an integer, so r - i > L(k) exactly when r - i > floor(L(k))
-    r = len(s)
-    return any(r - i > _threshold_floor(-s[i - 1], q) for i in range(1, r))
+def _trivial_criterion(head: tuple[int, ...], q: PrimePower) -> bool:
+    # the criterion of s = head + (s_r,), r = len(head) + 1: some i <= r-1
+    # has r - i > L(-s_i), i.e. r - i > floor(L(-s_i)) as r - i is an integer
+    r = len(head) + 1
+    return any(r - i > _threshold_floor(-x, q) for i, x in enumerate(head, 1))
 
 
 def classify_zero(s: tuple[int, ...], q: PrimePower) -> str:
@@ -175,7 +172,7 @@ def classify_zero(s: tuple[int, ...], q: PrimePower) -> str:
         raise PreconditionError("classification needs depth >= 2")
     if any(x >= 0 for x in s):
         raise PreconditionError("classification needs all-negative entries")
-    return TRIVIAL_ZERO if _trivial_criterion(s, q) else NONZERO
+    return TRIVIAL_ZERO if _trivial_criterion(s[:-1], q) else NONZERO
 
 
 def zeta_valuation(s: tuple[int, ...], q: PrimePower) -> int:
@@ -188,7 +185,7 @@ def zeta_valuation(s: tuple[int, ...], q: PrimePower) -> int:
     s = tuple(s)
     if any(x >= 0 for x in s):
         raise PreconditionError("zeta_valuation needs all-negative entries")
-    if len(s) >= 2 and _trivial_criterion(s, q):
+    if _trivial_criterion(s[:-1], q):
         raise PreconditionError("tuple is a trivial zero; valuation undefined")
     r = len(s)
     total = 0
@@ -207,15 +204,17 @@ class _NegativeEngine:
     engine stores packed power-sum polynomials keyed by (d, k), which is
     also the memo of the power-sum recurrence, and, per head length, the
     suffix-sum table of the last head seen, so that a lexicographic sweep
-    reuses all shared heads.  Vanishing thresholds come from ``floors``,
-    floor(L(k)) for each exponent k of the grid, computed once.  The
+    reuses all shared heads.  Loop bounds come from ``floors``, floor(L(k))
+    for each exponent k of the grid, read once from
+    ``digitlab._threshold_floor``; a row's classification is the one
+    head-level ``_trivial_criterion``, decided once per row.  The
     polynomial, text and valuation of a value are built once per distinct
     value for the engine's life, which is one evaluation or one sweep.
     """
 
     def __init__(self, field: FieldSpec, ks: Iterable[int]):
         self.field = field
-        self.floors = {k: floor(vanishing_threshold(k, field.pp)) for k in ks}
+        self.floors = {k: _threshold_floor(k, field.pp) for k in ks}
         self._s_packed: dict[tuple[int, int], int] = {}
         self._levels: dict[int, tuple[tuple[int, ...], list[int]]] = {}
         self._polys: dict[int, Poly] = {}
@@ -285,8 +284,7 @@ class _NegativeEngine:
         values = self.values(head, tails)
         if not head:
             return [(n, NONZERO if n else NOT_APPLICABLE) for n in values]
-        r = len(head) + 1
-        trivial = any(r - i > self.floors[-x] for i, x in enumerate(head, 1))
+        trivial = _trivial_criterion(head, self.field.pp)
         for x, n in zip(tails, values):
             if not n and not trivial:
                 raise VanishingMismatchError(

@@ -26,10 +26,9 @@ from math import comb, prod
 from typing import Union
 
 from .compose import HEAD, modest
-from .digitlab import PrimePower, base_digits, vanishing_threshold
+from .digitlab import CACHE_LIMIT, PrimePower, _threshold_floor, base_digits
 from .errors import ResourceLimitError
 from .fqpoly import (
-    CACHE_LIMIT,
     INF,
     FieldSpec,
     PackedSum,
@@ -227,10 +226,9 @@ def power_sum_valuation(d: int, s: int, q: PrimePower):
         raise ValueError("d must be non-negative")
     if d == 0:
         return 0
-    k = -s
-    if vanishing_threshold(k, q) < d:
+    if d > _threshold_floor(-s, q):
         return INF
-    return modest(k, d, q, HEAD).weight
+    return modest(-s, d, q, HEAD).weight
 
 
 def vanishes(d: int, s: int, q: PrimePower) -> bool:
@@ -240,6 +238,4 @@ def vanishes(d: int, s: int, q: PrimePower) -> bool:
         raise ValueError("vanishes requires s < 0")
     if d < 0:
         raise ValueError("d must be non-negative")
-    if d == 0:
-        return False
-    return vanishing_threshold(-s, q) < d
+    return d > _threshold_floor(-s, q)

@@ -8,6 +8,7 @@ structural routes it is used to check (beyond basic value types).
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from math import comb
 
 
@@ -25,6 +26,17 @@ def naive_carry_free(parts, p) -> bool:
         for j, d in enumerate(digits_of(part, p)):
             cols[j] = cols.get(j, 0) + d
     return all(v < p for v in cols.values())
+
+
+def naive_vanishing_threshold(k: int, q: int, p: int) -> Fraction:
+    """L(k) by its literal definition: the minimum over p^i < q of the
+    base-q digit sum of k * p^i, divided by q - 1."""
+    sums = []
+    scale = 1
+    while scale < q:
+        sums.append(sum(digits_of(k * scale, q)))
+        scale *= p
+    return Fraction(min(sums), q - 1)
 
 
 def naive_head_free(k: int, d: int, q: int, p: int) -> set[tuple[int, ...]]:
