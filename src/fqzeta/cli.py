@@ -17,7 +17,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import __version__, compose, mzv, powersum, verify
 from .digitlab import PrimePower
@@ -28,7 +28,7 @@ from .errors import (
     ResourceLimitError,
     VanishingMismatchError,
 )
-from .fqpoly import FieldSpec, field_from_q
+from .fqpoly import INF, FieldSpec, Poly, field_from_q
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -239,9 +239,68 @@ _CSV_COLUMNS = (
 )
 
 
-def _sweep_task(task: tuple[int, int, int, int, tuple[int, ...]]) -> list[tuple]:
-    q, depth, smin, smax, prefix = task
-    return list(mzv.sweep_text(field_from_q(q), depth, smin, smax, prefix))
+def _shown(field: FieldSpec, n: int) -> tuple[str, object]:
+    """Text and t-valuation of canonical packed n."""
+    if not n:
+        return "0", INF
+    value = Poly.from_packed(field, n)
+    return value.text(), value.t_valuation
+
+
+class _Echo:
+    """A file whose write hands back the line: csv.writer's writerow then
+    returns the formatted row instead of storing it."""
+
+    def write(self, line: str) -> str:
+        return line
+
+
+def _sweep_csv(field: FieldSpec, rows) -> Iterator[str]:
+    """The CSV lines of one sweep, one string per grid row.
+
+    Within a sweep the classification is a function of the value (``row``
+    checks every tuple against it) and the depth is fixed, so the quoted
+    tail `depth,value,valuation,classification,exact` is formatted by the
+    csv module once per distinct value.  s_tuple holds only digits, '-'
+    and ',', so csv quotes it exactly when it has a comma, at depth >= 2.
+    """
+    pp = field.pp
+    fmt = csv.writer(_Echo()).writerow
+    shown: dict[int, str] = {}
+    qpf = f"{pp.q},{pp.p},{pp.f},"
+    for head, tails, row in rows:
+        if head:
+            lead = qpf + '"' + ",".join(map(str, head)) + ","
+            close = '",'
+        else:
+            lead, close = qpf, ","
+        lines = []
+        for x, (n, cls) in zip(tails, row):
+            tail = shown.get(n)
+            if tail is None:
+                text, val = _shown(field, n)
+                tail = shown[n] = fmt((len(head) + 1, text, val, cls, True))
+            lines.append(f"{lead}{x}{close}{tail}")
+        yield "".join(lines)
+
+
+def _sweep_records(field: FieldSpec, rows) -> Iterator[dict]:
+    """The JSON records of one sweep; text and valuation are built once
+    per distinct value."""
+    shown: dict[int, tuple[str, object]] = {}
+    for head, tails, row in rows:
+        for x, (n, cls) in zip(tails, row):
+            got = shown.get(n)
+            if got is None:
+                got = shown[n] = _shown(field, n)
+            yield mzv.zeta_record(field, head + (x,), *got, cls, True)
+
+
+def _sweep_task(task: tuple) -> list:
+    """The output of one sweep, run in a worker process."""
+    writer, q, depth, smin, smax, prefix = task
+    field = field_from_q(q)
+    return list(writer(field, mzv.sweep_rows(field, depth, smin, smax, prefix)))
 
 
 def _cmd_sweep(args) -> int:
@@ -256,38 +315,32 @@ def _cmd_sweep(args) -> int:
         raise PreconditionError("--jobs must be at least 1")
     fields = {q: field_from_q(q) for q in sorted(qs)}
     grid = (args.depth, args.smin, args.smax)
+    # each sweep has its own engine and its writer's memo of formatted values
+    writer = _sweep_records if args.format == "json" else _sweep_csv
     if args.jobs == 1:
-        # one sweep, and so one engine, per q
-        chunks = [(q, mzv.sweep_text(field, *grid)) for q, field in fields.items()]
+        # one sweep per q, formatted as it is evaluated
+        chunks = [writer(field, mzv.sweep_rows(field, *grid)) for field in fields.values()]
     else:
-        # one task, and so one engine, per (q, s_1)
+        # one sweep per (q, s_1), evaluated and formatted in a worker
         tasks = [
-            (q, *grid, (s1,)) for q in fields for s1 in range(args.smin, args.smax + 1)
+            (writer, q, *grid, (s1,))
+            for q in fields
+            for s1 in range(args.smin, args.smax + 1)
         ]
         workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = pool.map(_sweep_task, tasks, chunksize=4)
-            chunks = [(task[0], chunk) for task, chunk in zip(tasks, rows)]
+            chunks = list(pool.map(_sweep_task, tasks, chunksize=4))
 
     if args.format == "json":
-        records = [
-            mzv.zeta_record(fields[q], s, text, val, cls, True)
-            for q, chunk in chunks
-            for s, text, val, cls in chunk
-        ]
+        records = [rec for chunk in chunks for rec in chunk]
         _emit(json.dumps(records, indent=2) + "\n", args.out)
     else:
         buf = io.StringIO()
         for line in _header_lines(list(fields.values()), not args.no_banner):
             buf.write(line + "\n")
-        writer = csv.writer(buf)
-        writer.writerow(_CSV_COLUMNS)
-        for q, chunk in chunks:
-            pp = fields[q].pp
-            writer.writerows(
-                (pp.q, pp.p, pp.f, ",".join(map(str, s)), len(s), text, val, cls, True)
-                for s, text, val, cls in chunk
-            )
+        csv.writer(buf).writerow(_CSV_COLUMNS)
+        for chunk in chunks:
+            buf.writelines(chunk)
         _emit(buf.getvalue(), args.out)
     return EXIT_OK
 

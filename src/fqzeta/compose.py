@@ -232,14 +232,13 @@ def valid_class_matrices(n: int, d: int, q: PrimePower) -> tuple[ClassMatrix, ..
 
 
 def _monotone_parts(
-    columns: Sequence[Sequence[int]], n: int, q: PrimePower
+    columns: Sequence[Sequence[int]], classes: tuple[tuple[int, ...], ...]
 ) -> tuple[int, ...]:
     # Assign, inside every digit class, the largest available p-powers to
     # the earliest columns; the per-class counts are the column entries.
-    classes = power_classes(n, q)
+    # classes is power_classes of the target, computed once per target.
     parts = [0] * len(columns)
-    for c in range(q.f):
-        seq = classes[c]
+    for c, seq in enumerate(classes):
         pos = 0
         for i, col in enumerate(columns):
             take = col[c]
@@ -258,7 +257,9 @@ def monotone_rep(matrix: ClassMatrix) -> Composition:
     """
     if not matrix.is_valid():
         raise ValueError("matrix is not valid for its target")
-    parts = _monotone_parts(matrix.columns, matrix.target, matrix.q)
+    parts = _monotone_parts(
+        matrix.columns, power_classes(matrix.target, matrix.q)
+    )
     return Composition._trusted(matrix.q, parts, TAIL, matrix.target)
 
 
@@ -377,7 +378,8 @@ def tail_free_nonempty(n: int, d: int, q: PrimePower) -> bool:
 
 def _tail_monotone_reps(n: int, d: int, q: PrimePower) -> list[tuple[int, ...]]:
     mats = valid_class_matrices(n, d, q)
-    return [_monotone_parts(m.columns, n, q) for m in mats]
+    classes = power_classes(n, q)
+    return [_monotone_parts(m.columns, classes) for m in mats]
 
 
 def modest(target: int, d: int, q: PrimePower, kind: str = HEAD) -> Composition:
@@ -410,10 +412,11 @@ def greedy(k: int, d: int, q: PrimePower) -> Composition:
     mats = valid_class_matrices(k, d + 1, q)
     if not mats:
         raise EmptySetError(f"no head-free compositions of {k} at d={d}")
+    classes = power_classes(k, q)
     best: Optional[tuple[int, ...]] = None
     for m in mats:
         head_cols = m.columns[::-1]
-        parts = _monotone_parts(head_cols, k, q)
+        parts = _monotone_parts(head_cols, classes)
         if best is None or parts > best:
             best = parts
     return Composition._trusted(q, best, HEAD, k)

@@ -18,7 +18,8 @@ at a time: one engine call takes the tuples head + (x,) for a list of
 last entries x, decides the row's classification once, and still
 compares every tuple's exact value with it, raising for the first tuple
 that disagrees.  A single tuple is a one-entry row; a sweep, with s_r
-fastest, is one row per head.
+fastest, is one row per head, and ``sweep_rows`` hands those rows out
+as they are, leaving the per-tuple form to ``sweep_negative``.
 
 Mixed and positive signs are evaluated with exact rational arithmetic;
 the series is finite exactly when s_1 < 0 (the leading degree is then
@@ -63,7 +64,7 @@ __all__ = [
     "zeta_mixed",
     "goss_vanishing",
     "sweep_negative",
-    "sweep_text",
+    "sweep_rows",
     "zeta_record",
 ]
 
@@ -207,9 +208,9 @@ class _NegativeEngine:
     reuses all shared heads.  Loop bounds come from ``floors``, floor(L(k))
     for each exponent k of the grid, read once from
     ``digitlab._threshold_floor``; a row's classification is the one
-    head-level ``_trivial_criterion``, decided once per row.  The
-    polynomial, text and valuation of a value are built once per distinct
-    value for the engine's life, which is one evaluation or one sweep.
+    head-level ``_trivial_criterion``, decided once per row.  Values leave
+    the engine canonical packed; turning them into polynomials or text is
+    the caller's, once per distinct value.
     """
 
     def __init__(self, field: FieldSpec, ks: Iterable[int]):
@@ -217,8 +218,6 @@ class _NegativeEngine:
         self.floors = {k: _threshold_floor(k, field.pp) for k in ks}
         self._s_packed: dict[tuple[int, int], int] = {}
         self._levels: dict[int, tuple[tuple[int, ...], list[int]]] = {}
-        self._polys: dict[int, Poly] = {}
-        self._shown: dict[int, tuple[str, int]] = {}
 
     def s_packed(self, d: int, k: int) -> int:
         cached = self._s_packed.get((d, k))
@@ -299,32 +298,6 @@ class _NegativeEngine:
         cls = TRIVIAL_ZERO if trivial else NONZERO
         return [(n, cls) for n in values]
 
-    def sweep(
-        self, heads: Iterable[tuple[int, ...]], tails: Sequence[int]
-    ) -> Iterator[tuple[tuple[int, ...], int, str]]:
-        """(s, canonical packed zeta(s), classification) for s = head + (x,),
-        x in tails, one ``row`` per head."""
-        for head in heads:
-            for x, (n, cls) in zip(tails, self.row(head, tails)):
-                yield head + (x,), n, cls
-
-    def poly(self, n: int) -> Poly:
-        """The polynomial of canonical packed n."""
-        value = self._polys.get(n)
-        if value is None:
-            value = self._polys[n] = Poly.from_packed(self.field, n)
-        return value
-
-    def shown(self, n: int) -> tuple[str, object]:
-        """Text and t-valuation of canonical packed n."""
-        if not n:
-            return "0", INF
-        got = self._shown.get(n)
-        if got is None:
-            value = Poly.from_packed(self.field, n)
-            got = self._shown[n] = (value.text(), value.t_valuation)
-        return got
-
 
 def zeta_negative(s: Union[tuple[int, ...], list[int]], field: FieldSpec) -> ZetaResult:
     """Exact evaluation of zeta at an all-negative tuple.
@@ -340,7 +313,7 @@ def zeta_negative(s: Union[tuple[int, ...], list[int]], field: FieldSpec) -> Zet
         raise PreconditionError("zeta_negative needs all-negative entries")
     engine = _NegativeEngine(field, {-x for x in idx.s})
     [(n, cls)] = engine.row(idx.s[:-1], idx.s[-1:])
-    return ZetaResult(idx, engine.poly(n), cls, True)
+    return ZetaResult(idx, Poly.from_packed(field, n), cls, True)
 
 
 def _grid_rows(
@@ -361,6 +334,31 @@ def _grid_rows(
     return (prefix + mid for mid in mids), entries
 
 
+def sweep_rows(
+    field: FieldSpec,
+    depth: int,
+    smin: int,
+    smax: int = -1,
+    prefix: tuple[int, ...] = (),
+) -> Iterator[tuple[tuple[int, ...], Sequence[int], list[tuple[int, str]]]]:
+    """All-negative sweep over the tuples prefix + tail, with tail running
+    over [smin, smax]^(depth - len(prefix)), one grid row at a time.  The
+    empty prefix sweeps the whole grid [smin, smax]^depth.
+
+    Yields (head, tails, row) per head in lexicographic order: the row is
+    the tuples head + (x,) for x in tails, and ``row`` holds the canonical
+    packed zeta value and classification of each, in the order of tails.
+    Every row of one sweep has the same tails.  One engine serves the
+    sweep; it classifies each row once but compares every tuple's value
+    with that classification, raising VanishingMismatchError naming the
+    first tuple that disagrees.
+    """
+    heads, tails = _grid_rows(depth, smin, smax, tuple(prefix))
+    engine = _NegativeEngine(field, range(-smax, -smin + 1))
+    for head in heads:
+        yield head, tails, engine.row(head, tails)
+
+
 def sweep_negative(
     field: FieldSpec,
     depth: int,
@@ -368,38 +366,15 @@ def sweep_negative(
     smax: int = -1,
     prefix: tuple[int, ...] = (),
 ) -> Iterator[ZetaResult]:
-    """All-negative sweep over the tuples prefix + tail, with tail running
-    over [smin, smax]^(depth - len(prefix)) in lexicographic order; one
-    exact ZetaResult per tuple.  The empty prefix sweeps the whole grid
-    [smin, smax]^depth.
-
-    One engine serves the sweep.  It evaluates a row of tuples (all last
-    entries under one head) per call and classifies the row once, but
-    compares every tuple's value with that classification and raises
-    VanishingMismatchError naming the first tuple that disagrees.  Equal
-    values share one Poly.
-    """
-    heads, tails = _grid_rows(depth, smin, smax, tuple(prefix))
-    engine = _NegativeEngine(field, range(-smax, -smin + 1))
-    for s, n, cls in engine.sweep(heads, tails):
-        yield ZetaResult(ZetaIndex(field, s), engine.poly(n), cls, True)
-
-
-def sweep_text(
-    field: FieldSpec,
-    depth: int,
-    smin: int,
-    smax: int = -1,
-    prefix: tuple[int, ...] = (),
-) -> Iterator[tuple[tuple[int, ...], str, object, str]]:
-    """The sweep of ``sweep_negative`` as (s, value text, t-valuation,
-    classification) per tuple, with no per-tuple result object: text and
-    valuation are built once per distinct value of the sweep."""
-    heads, tails = _grid_rows(depth, smin, smax, tuple(prefix))
-    engine = _NegativeEngine(field, range(-smax, -smin + 1))
-    for s, n, cls in engine.sweep(heads, tails):
-        text, val = engine.shown(n)
-        yield s, text, val, cls
+    """The sweep of ``sweep_rows`` with one exact ZetaResult per tuple, in
+    lexicographic order.  Equal values share one Poly."""
+    polys: dict[int, Poly] = {}
+    for head, tails, row in sweep_rows(field, depth, smin, smax, prefix):
+        for x, (n, cls) in zip(tails, row):
+            value = polys.get(n)
+            if value is None:
+                value = polys[n] = Poly.from_packed(field, n)
+            yield ZetaResult(ZetaIndex(field, head + (x,)), value, cls, True)
 
 
 def zeta_mixed(

@@ -520,11 +520,12 @@ def run_compose_suite(
             if rest >= 1:
                 best = None
                 best_weight = None
+                classes = compose.power_classes(rest, pp)
                 for matrix in compose.valid_class_matrices(rest, d - 1, pp):
                     last_col = matrix.columns[-1]
                     if not digitlab.is_even_class(ClassVector(pp, last_col)):
                         continue
-                    cand = compose._monotone_parts(matrix.columns, rest, pp)
+                    cand = compose._monotone_parts(matrix.columns, classes)
                     w = sum((j + 1) * x for j, x in enumerate(cand))
                     if best is None or cand > best:
                         best = cand

@@ -1,8 +1,10 @@
+import csv
+import io
 import json
 
 import pytest
 
-from fqzeta import cli, field_from_q, zeta_negative
+from fqzeta import cli, field_from_q, sweep_negative, zeta_negative
 from fqzeta.cli import main
 
 
@@ -311,6 +313,62 @@ class TestSweepCommand:
         # six tasks: one per (q, s_1)
         assert sizes == [workers]
         assert pooled == run(capsys, *argv)[1]
+
+
+class TestSweepReference:
+    """The CSV body of `fqzeta sweep` against csv.writer rows built from
+    the per-tuple results of ``sweep_negative``."""
+
+    QS = (2, 3, 4, 8, 9)
+    SMIN = -6
+
+    @staticmethod
+    def reference_body(depth):
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        for q in TestSweepReference.QS:
+            field = field_from_q(q)
+            pp = field.pp
+            for res in sweep_negative(field, depth, TestSweepReference.SMIN):
+                s = res.index.s
+                writer.writerow((
+                    pp.q, pp.p, pp.f, ",".join(map(str, s)), len(s),
+                    res.value.text(), res.valuation, res.classification, res.exact,
+                ))
+        return buf.getvalue()
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_csv_body_matches_results(self, capsys, monkeypatch, depth, jobs):
+        # a stand-in pool maps in this process, so no worker process starts
+        sizes = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+        code, out, err = run(
+            capsys,
+            "sweep", "--q", ",".join(map(str, self.QS)), "--depth", str(depth),
+            "--smin", str(self.SMIN), "--no-banner", "--jobs", str(jobs),
+        )
+        assert code == 0, err
+        assert sizes == ([] if jobs == 1 else [jobs])
+        header = "q,p,f,s_tuple,depth,value,valuation,classification,exact\r\n"
+        body = out.split(header, 1)[1]
+        assert body == self.reference_body(depth)
+        assert body.count("\r\n") == len(self.QS) * (-self.SMIN) ** depth
 
 
 class TestVerifyCommand:

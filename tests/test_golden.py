@@ -138,6 +138,29 @@ def test_depth_three_sweep_digest(capsys, fmt, jobs):
     assert hashlib.sha256(out.encode()).hexdigest() == DEPTH3_SWEEP_SHA256[fmt]
 
 
+# sha256 of the stdout of `fqzeta sweep --q 4,9` over two grids, taken
+# before the sweep CSV was written one grid row at a time.  At f > 1 the
+# value text holds commas (`[1,0]`) and is quoted; at depth 1 the s_tuple
+# has none and is not.
+F2_SWEEP_SHA256 = {
+    ("2", "-30", "csv"): "341eab29a7f0d4a00232cd3652aa8979b35a0d26e756845bccf15c847ee3a2b4",
+    ("2", "-30", "json"): "9a8444fb95cd5d98cb829f355ccca2fa7f6f62805822a1ebbab2df84942de2bd",
+    ("1", "-40", "csv"): "5eabe5a78096102bb822e9fb03f4cc0ac37dd54f30d408fef16718f5a1516930",
+    ("1", "-40", "json"): "30a88a3fd8893086430268d9e0aa96ab9742955640c22da07cc410e290758f71",
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("depth, smin, fmt", sorted(F2_SWEEP_SHA256))
+def test_extension_field_sweep_digest(capsys, depth, smin, fmt, jobs):
+    out = run(
+        capsys,
+        "sweep", "--q", "4,9", "--depth", depth, "--smin", smin,
+        "--format", fmt, "--jobs", jobs,
+    )
+    assert hashlib.sha256(out.encode()).hexdigest() == F2_SWEEP_SHA256[depth, smin, fmt]
+
+
 VERIFY_MZV_LINES = [
     "PASS mixed-sign-example: all displayed identities reproduced exactly",
     "PASS trivial-zero-equivalence: 2304 tuples evaluated exactly, 1856 zeros, "
