@@ -322,14 +322,13 @@ class TestSweepReference:
     QS = (2, 3, 4, 8, 9)
     SMIN = -6
 
-    @staticmethod
-    def reference_body(depth):
+    def reference_body(self, depth):
         buf = io.StringIO()
         writer = csv.writer(buf)
-        for q in TestSweepReference.QS:
+        for q in self.QS:
             field = field_from_q(q)
             pp = field.pp
-            for res in sweep_negative(field, depth, TestSweepReference.SMIN):
+            for res in sweep_negative(field, depth, self.SMIN):
                 s = res.index.s
                 writer.writerow((
                     pp.q, pp.p, pp.f, ",".join(map(str, s)), len(s),
