@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence, Union
 
 from . import __version__, compose, mzv, powersum, verify
 from .digitlab import PrimePower
@@ -70,12 +69,14 @@ def _add_output_flags(sp, choices=("text", "json"), default="text") -> None:
     )
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+def _emit(text: Union[str, list[str]], out: Optional[str]) -> None:
+    """Write text, or a list of strings in order, to the file out or stdout."""
+    parts = [text] if isinstance(text, str) else text
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
     else:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(parts)
 
 
 def _header_lines(fields: Sequence[FieldSpec], banner: bool) -> list[str]:
@@ -335,13 +336,13 @@ def _cmd_sweep(args) -> int:
         records = [rec for chunk in chunks for rec in chunk]
         _emit(json.dumps(records, indent=2) + "\n", args.out)
     else:
-        buf = io.StringIO()
-        for line in _header_lines(list(fields.values()), not args.no_banner):
-            buf.write(line + "\n")
-        csv.writer(buf).writerow(_CSV_COLUMNS)
+        # every row is built before the output is opened
+        header = _header_lines(list(fields.values()), not args.no_banner)
+        parts = [line + "\n" for line in header]
+        parts.append(csv.writer(_Echo()).writerow(_CSV_COLUMNS))
         for chunk in chunks:
-            buf.writelines(chunk)
-        _emit(buf.getvalue(), args.out)
+            parts.extend(chunk)
+        _emit(parts, args.out)
     return EXIT_OK
 
 

@@ -35,9 +35,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
 from .digitlab import (
+    CACHE_LIMIT,
     PrimePower,
     _shift_weights,
     base_digits,
@@ -214,11 +216,14 @@ def _iter_columns(
             yield (cand,) + tail
 
 
+@lru_cache(maxsize=CACHE_LIMIT)
 def valid_class_matrices(n: int, d: int, q: PrimePower) -> tuple[ClassMatrix, ...]:
     """All d-column class matrices for tail-free compositions of n.
 
     Columns sum to the digit class vector of n and all but the last are
     nonzero even-class.  Returned sorted by flattened column entries.
+    Cached (CACHE_LIMIT entries); the matrices are frozen, so callers
+    share them.
     """
     if n <= 0 or d <= 0:
         raise ValueError("need n >= 1 and d >= 1")

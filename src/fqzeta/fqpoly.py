@@ -15,13 +15,12 @@ module knows that format.  Its limb width is per field: the smallest of
 overflow rule covers every packed product: canonical operands add at most
 (p-1)^2 * f * min(slots) to a limb (an F_p-multiple c * t^j * a adds at
 most (p-1)^2), and ``PackedSum`` renormalizes, or splits the shorter
-operand, before any limb could overflow.  ``canonical_products`` takes
-many products at once under the same rule: each pair is one big-int
-multiply (or a ``PackedSum`` when the shorter operand is too long), and a
-single fold over one buffer renormalizes them all and gives their sum;
-``block_size`` says how many fit its fixed limb budget.
-``canonical_values`` renormalizes many running sums by one such fold, and
-``monic_blocks`` packs the monics of a degree block by block.  ``make_field``
+operand, before any limb could overflow.  ``canonical_values``
+renormalizes many running sums by a single fold over one buffer.
+``monic_power_sums`` gives the brute-force sums of a^k over the monics of
+one degree: it steps the running powers of a block of monics as numpy limb
+arrays, one per F_p coordinate, under the same rule on a tracked limb
+bound, and packs only the sums.  ``make_field``
 accepts exactly the fields with (p-1)^2 * f + p - 1 < 2^64, each exact on
 every packed path.  The schoolbook route is kept for small operands and
 serves as the independent reference in the test suite.  All arithmetic
@@ -45,20 +44,18 @@ __all__ = [
     "Poly",
     "RationalFn",
     "PackedSum",
-    "block_size",
-    "canonical_products",
     "canonical_values",
     "make_field",
     "field_from_q",
     "monic_polys",
-    "monic_blocks",
+    "monic_power_sums",
     "poly_gcd",
 ]
 
 _TABLE_LIMIT = 1024  # f > 1 fields up to this q get q x q operation tables
 _SCHOOLBOOK_CUTOFF = 2048
 _HEADROOM = 256  # coefficient products a limb of the chosen width holds
-_BLOCK_LIMBS = 1 << 16  # limbs one canonical_products fold should cover
+_POWER_BLOCK_LIMBS = 1 << 17  # limbs in one monic_power_sums block array
 
 
 class _PlusInfinity:
@@ -541,62 +538,127 @@ class PackedSum:
         return self.value
 
 
-def block_size(field: FieldSpec, slots: int) -> int:
-    """How many products of at most ``slots`` slots one
-    ``canonical_products`` call should take: as many as fit _BLOCK_LIMBS
-    limbs, and at least one."""
-    return max(1, _BLOCK_LIMBS // (slots * field.pack_stride))
-
-
-def canonical_products(
-    xs: Sequence[int], ys: Sequence[int], field: FieldSpec
-) -> tuple[list[int], int]:
-    """Canonical packed x * y for each pair of canonical packed x and y, and
-    the canonical packed sum of those products.
-
-    Each product is one big-int multiply; all of them are laid out in one
-    buffer and renormalized by a single fold.  A pair whose shorter operand
-    exceeds the chunk length goes through ``PackedSum.add``, which splits it.
-    """
-    fs = field
-    limit = fs._chunk_slots * fs._slot_bits
-    prods = [
-        x * y if min(x.bit_length(), y.bit_length()) < limit
-        else PackedSum(fs).add(x, y).value
-        for x, y in zip(xs, ys)
-    ]
-    out, rows = _fold_values(prods, fs)
-    if rows is None:
-        return out, 0
-    total = rows.reshape(len(prods), -1).sum(axis=0, dtype=np.uint64) % fs.pp.p
-    dtype = f"<u{fs._limb_bits // 8}"
-    return out, int.from_bytes(total.astype(dtype).tobytes(), "little")
-
-
 def canonical_values(values: Sequence[int], field: FieldSpec) -> list[int]:
     """Canonical packed form of each packed value (canonical, or a
     ``PackedSum.value``), all renormalized by a single fold.  Zero stays 0,
     so a value is the zero polynomial exactly when its canonical form is 0."""
-    return _fold_values(values, field)[0]
-
-
-def _fold_values(
-    values: Sequence[int], fs: FieldSpec
-) -> tuple[list[int], Optional[np.ndarray]]:
-    # every value padded to the longest one's slots, one fold over the lot;
-    # also returns the folded limb rows (None when every value is 0)
+    # every value padded to the longest one's slots, one fold over the lot
+    fs = field
     slots = -(-max(map(int.bit_length, values), default=0) // fs._slot_bits)
     if not slots:
-        return list(values), None
+        return list(values)
     nbytes = slots * fs._slot_bits // 8
     dtype = f"<u{fs._limb_bits // 8}"
     rows = np.frombuffer(b"".join(n.to_bytes(nbytes, "little") for n in values), dtype)
     rows = _fold_rows(rows.reshape(-1, fs.pack_stride), fs)
     raw = memoryview(rows.astype(dtype, copy=False).tobytes())
-    out = [
+    return [
         int.from_bytes(raw[i : i + nbytes], "little") for i in range(0, len(raw), nbytes)
     ]
-    return out, rows
+
+
+def _mul_matrices(field: FieldSpec, codes: np.ndarray) -> np.ndarray:
+    """Entry [u, v, i] is F_p coordinate u of codes[i] * x^v mod m(x): the
+    matrix of multiplication by codes[i] on coordinate vectors, reduced."""
+    p, f = field.pp.p, field.pp.f
+    col = [codes // p**e % p for e in range(f)]
+    cols = [col]
+    # x * c shifts the coordinates up; the top one folds back as x^f mod m
+    top = field.x_fold[0] if f > 1 else ()
+    for _ in range(f - 1):
+        lead = col[-1]
+        col = [(lead * top[0]) % p] + [
+            (low + lead * c) % p for low, c in zip(col[:-1], top[1:])
+        ]
+        cols.append(col)
+    return np.array(cols, dtype=f"<u{field._limb_bits // 8}").transpose(1, 0, 2)
+
+
+def monic_power_sums(field: FieldSpec, d: int, kmax: int) -> list[int]:
+    """Canonical packed sum of a^k over the q^d monic a of degree d, for
+    each k = 0 .. kmax; a sum that is 0 is the int 0.
+
+    The monics are taken in blocks.  A block keeps its running powers a^k
+    as limb arrays in the field's limb width, one per F_p coordinate, with
+    a row per slot and a column per monic, for the whole sweep over k; no
+    power becomes a Python int.  A step from a^(k-1) to a^k shifts by d
+    slots for t^d and, for each lower coefficient b_j, adds the f^2
+    products of coordinate arrays with the entries of b_j's multiplication
+    matrix (the x-fold built in).  Overflow follows the ``PackedSum`` rule
+    on a tracked limb bound: a step multiplies the bound by at most
+    1 + d * f * (p-1), so the step reduces mod p once where the next step
+    could pass the limb width (or the column sums 64 bits), and reduces
+    between coefficients where even a reduced power could not take a whole
+    step.  The block's part of each sum is a column sum.  Each array holds
+    at most _POWER_BLOCK_LIMBS limbs (at least one monic), and the sums are
+    laid into packed limbs once, at the end.
+    """
+    if d < 0 or kmax < 0:
+        raise ValueError("need d >= 0 and kmax >= 0")
+    p, f, q = field.pp.p, field.pp.f, field.pp.q
+    dtype = f"<u{field._limb_bits // 8}"
+    size = max(1, _POWER_BLOCK_LIMBS // (d * kmax + 1))
+    # the d * k + 1 slots of sum k are columns offsets[k] .. offsets[k+1]-1
+    # of one array, so a single % p reduces every sum
+    offsets = [k * (d * (k - 1) + 2) // 2 for k in range(kmax + 2)]
+    flat = np.zeros((f, offsets[-1]), np.uint64)
+    sums = [flat[:, a:b] for a, b in zip(offsets, offsets[1:])]
+    for start in range(0, q**d, size):
+        index = np.arange(start, min(start + size, q**d), dtype=np.int64)
+        # a function of its own, so a block's arrays are freed on return
+        _add_block_sums(field, d, index, sums)
+        flat %= p
+    limbs = np.zeros((offsets[-1], field.pack_stride), dtype)
+    limbs[:, :f] = flat.T
+    raw = memoryview(limbs.tobytes())
+    width = field._slot_bits // 8
+    return [
+        int.from_bytes(raw[a * width : b * width], "little")
+        for a, b in zip(offsets, offsets[1:])
+    ]
+
+
+def _add_block_sums(
+    field: FieldSpec, d: int, index: np.ndarray, sums: list[np.ndarray]
+) -> None:
+    """Add to each sums[k] (F_p coordinates by slot, each entry below p) the
+    sum of a^k over the monics of the block, a = t^d + sum b_j t^j with b_j
+    base-q digit j of its index; every entry stays below 2^64."""
+    p, f, q = field.pp.p, field.pp.f, field.pp.q
+    bits = field._limb_bits
+    grow = 1 + d * f * (p - 1)  # a step multiplies a limb bound by at most this
+    kmax = len(sums) - 1
+    # entry [j][u][v] of mats multiplies coordinate v into coordinate u by b_j
+    mats = [
+        [list(row) for row in _mul_matrices(field, index // q**j % q)]
+        for j in range(d)
+    ]
+    cur = np.zeros((f, d * kmax + 1, len(index)), f"<u{bits // 8}")
+    new, tmp = np.zeros_like(cur), np.empty_like(cur[0])
+    cur[0, 0] = 1
+    sums[0][0, 0] += len(index)
+    load = 1  # bound on every limb of cur
+    for k in range(1, kmax + 1):
+        n = d * (k - 1) + 1  # slots of a^(k-1)
+        new[:, :d] = 0
+        new[:, d : d + n] = cur[:, :n]
+        src, part = list(cur[:, :n]), tmp[:n]
+        acc, term = load, f * (p - 1) * load
+        for j, mat in enumerate(mats):
+            if acc + term >> bits:
+                new[:, : d + n] %= p
+                acc = p - 1
+            acc += term
+            for dst, row in zip(new[:, j : j + n], mat):
+                for x, entry in zip(src, row):
+                    np.multiply(x, entry, out=part)
+                    dst += part
+        load = acc
+        if load * grow >> bits or load * len(index) + p >> 64:
+            new[:, : d + n] %= p
+            load = p - 1
+        sums[k] += new[:, : d + n].sum(axis=2, dtype=np.uint64)
+        cur, new = new, cur
 
 
 # ---------------------------------------------------------------------------
@@ -864,32 +926,6 @@ def monic_polys(field: FieldSpec, d: int) -> Iterator[Poly]:
     q = field.pp.q
     for lower in itertools.product(range(q), repeat=d):
         yield Poly(field, lower + (1,))
-
-
-def monic_blocks(field: FieldSpec, d: int, size: int) -> Iterator[list[int]]:
-    """The canonical packed forms of ``monic_polys(field, d)``, in the same
-    order, as lists of at most ``size``; each list is built by one numpy
-    pass, so only one block is live at a time."""
-    if d < 0:
-        raise ValueError("degree must be non-negative")
-    p, f, q = field.pp.p, field.pp.f, field.pp.q
-    dtype = f"<u{field._limb_bits // 8}"
-    nbytes = (d + 1) * field._slot_bits // 8
-    for start in range(0, q**d, size):
-        index = np.arange(start, min(start + size, q**d), dtype=np.uint64)
-        limbs = np.zeros((len(index), d + 1, field.pack_stride), dtype=dtype)
-        limbs[:, d, 0] = 1
-        # the coefficient of t^j is base-q digit d-1-j of the index, as in
-        # itertools.product; each code is spread over its f base-p limbs
-        for j in range(d):
-            code = index // np.uint64(q ** (d - 1 - j)) % np.uint64(q)
-            for e in range(f):
-                limbs[:, j, e] = code // np.uint64(p**e) % np.uint64(p)
-        raw = memoryview(limbs.tobytes())
-        yield [
-            int.from_bytes(raw[i : i + nbytes], "little")
-            for i in range(0, len(raw), nbytes)
-        ]
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:

@@ -34,10 +34,8 @@ from .fqpoly import (
     PackedSum,
     Poly,
     RationalFn,
-    block_size,
-    canonical_products,
-    monic_blocks,
     monic_polys,
+    monic_power_sums,
 )
 
 __all__ = [
@@ -187,12 +185,10 @@ def bruteforce_power_table(d: int, kmax: int, field: FieldSpec) -> list[Poly]:
 
     Entry k of the returned list (1-based; entry 0 is S(d, 0)) matches
     power_sum_bruteforce(d, -k) but the whole sweep shares the running
-    powers a, a^2, ..., a^kmax of each monic, a^k = a^(k-1) * a.  The
-    monics come packed from ``fqpoly.monic_blocks`` in blocks sized by
-    ``fqpoly.block_size``: for each block and each k one
-    ``canonical_products`` call steps every running power of the block and
-    returns the block's part of the sum, so only one block's monics and
-    powers are live at a time.  Refuses to start when q^d exceeds
+    powers a, a^2, ..., a^kmax of each monic, a^k = a^(k-1) * a.  The sums
+    come packed from ``fqpoly.monic_power_sums``, which steps the running
+    powers of a block of monics as F_p coordinate arrays, so only one
+    block's powers are live at a time.  Refuses to start when q^d exceeds
     BRUTE_FORCE_LIMIT.
     """
     if d < 0 or kmax < 0:
@@ -202,15 +198,7 @@ def bruteforce_power_table(d: int, kmax: int, field: FieldSpec) -> list[Poly]:
         raise ResourceLimitError(
             f"q^d = {count} exceeds the brute-force guard {BRUTE_FORCE_LIMIT}"
         )
-    acc = [PackedSum(field) for _ in range(kmax + 1)]
-    for block in monic_blocks(field, d, block_size(field, d * kmax + 1)):
-        # entry 0: a^0 = 1 for every monic of the block
-        acc[0].add_scaled(1, len(block) % field.pp.p, 0)
-        cur = [1] * len(block)
-        for k in range(1, kmax + 1):
-            cur, total = canonical_products(cur, block, field)
-            acc[k].add(total)
-    return [Poly.from_packed(field, s.value) for s in acc]
+    return [Poly.from_packed(field, n) for n in monic_power_sums(field, d, kmax)]
 
 
 @lru_cache(maxsize=CACHE_LIMIT)

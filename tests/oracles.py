@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 
@@ -123,3 +124,33 @@ def naive_poly_mul_codes(a_codes, b_codes, field):
     while codes and codes[-1] == 0:
         codes.pop()
     return tuple(codes)
+
+
+@lru_cache(maxsize=None)
+def naive_power_sums(field, d, kmax):
+    """The literal sum of a^k over the q^d monic a of degree d, for each
+    k = 0 .. kmax, as a tuple of coefficient-code tuples.  The monics come
+    from itertools.product, every power a^k = a^(k-1) * a is one
+    naive_poly_mul_codes call, and the sums add coordinates mod p.  Cached,
+    since the larger fields take about a second."""
+    p, f, q = field.pp.p, field.pp.f, field.pp.q
+    sums = [[] for _ in range(kmax + 1)]  # per k, coordinate lists per slot
+    for lower in itertools.product(range(q), repeat=d):
+        a = lower + (1,)
+        power = (1,)
+        for k in range(kmax + 1):
+            if k:
+                power = naive_poly_mul_codes(power, a, field)
+            acc = sums[k]
+            acc.extend([0] * f for _ in range(len(power) - len(acc)))
+            for slot, code in zip(acc, power):
+                for e in range(f):
+                    code, r = divmod(code, p)
+                    slot[e] = (slot[e] + r) % p
+    out = []
+    for acc in sums:
+        codes = [sum(c * p**e for e, c in enumerate(slot)) for slot in acc]
+        while codes and codes[-1] == 0:
+            codes.pop()
+        out.append(tuple(codes))
+    return tuple(out)

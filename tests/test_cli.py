@@ -242,6 +242,20 @@ class TestSweepCommand:
         assert code1 == code2 == 0
         assert f1.read_bytes() == f2.read_bytes()
 
+    def test_mismatch_writes_nothing(self, capsys, monkeypatch, tmp_path):
+        # every row is built before the output file is opened
+        from fqzeta import mzv
+
+        monkeypatch.setattr(mzv, "_trivial_criterion", lambda head, q: True)
+        out = tmp_path / "sweep.csv"
+        code, _, err = run(
+            capsys,
+            "sweep", "--q", "3", "--depth", "2", "--smin", "-4", "--out", str(out),
+        )
+        assert code == 2
+        assert "trivial-zero criterion holds" in err
+        assert not out.exists()
+
     def test_json_records(self, capsys):
         code, out, _ = run(
             capsys,

@@ -121,6 +121,15 @@ class TestClassMatrices:
             ((5, 0), (1, 1)),
         ]
 
+    def test_cached_matrices_equal_a_fresh_build(self, q2, q9):
+        from fqzeta.digitlab import CACHE_LIMIT
+
+        assert valid_class_matrices.cache_info().maxsize == CACHE_LIMIT
+        for n, d, q in ((131, 2, q9), (131, 3, q9), (255, 3, q2), (40, 2, q9)):
+            first = valid_class_matrices(n, d, q)
+            assert valid_class_matrices(n, d, q) is first
+            assert first == valid_class_matrices.__wrapped__(n, d, q)
+
     def test_d1_single_matrix(self, q9):
         mats = valid_class_matrices(131, 1, q9)
         assert len(mats) == 1

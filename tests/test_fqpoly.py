@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from fqzeta import (
     INF,
     FieldElement,
+    FieldSpec,
     Poly,
     RationalFn,
     field_from_q,
@@ -20,11 +21,11 @@ from fqzeta.fqpoly import (
     PackedSum,
     _mul_packed,
     _mul_schoolbook,
-    canonical_products,
     canonical_values,
-    monic_blocks,
+    monic_power_sums,
     poly_gcd,
 )
+from fqzeta import fqpoly
 from fqzeta.mzv import _threshold_floor
 from fqzeta.powersum import power_sum_valuation
 
@@ -180,12 +181,27 @@ class TestPolyBasics:
         "q, d, size",
         [(2, 3, 3), (4, 2, 16), (9, 2, 7), (257, 1, 100), (65521, 1, 4096), (3, 0, 5)],
     )
-    def test_monic_blocks_are_the_packed_monics(self, q, d, size):
+    def test_monic_blocks_are_the_packed_monics(self, monkeypatch, q, d, size):
+        # monic_power_sums over blocks of `size` monics gives the literal
+        # sums: every case but q = 4 and d = 0 ends on a partial block, and
+        # q = 65521 has 64-bit limbs
         field = field_from_q(q)
-        blocks = list(monic_blocks(field, d, size))
-        assert all(0 < len(b) <= size for b in blocks)
-        packed = [a.packed() for a in monic_polys(field, d)]
-        assert [n for b in blocks for n in b] == packed
+        kmax = 1 if q > 1000 else 4
+        monkeypatch.setattr(fqpoly, "_POWER_BLOCK_LIMBS", size * (d * kmax + 1))
+        # _mul_matrices runs d times per block, on the block's codes
+        built = []
+        build = fqpoly._mul_matrices
+
+        def spy(fs, codes):
+            built.append(len(codes))
+            return build(fs, codes)
+
+        monkeypatch.setattr(fqpoly, "_mul_matrices", spy)
+        sums = monic_power_sums(field, d, kmax)
+        expected = oracles.naive_power_sums(field, d, kmax)
+        assert sums == [Poly(field, e).packed() for e in expected]
+        sizes = [min(size, q**d - i) for i in range(0, q**d, size)]
+        assert built == [n for n in sizes for _ in range(d)]
 
     def test_monic_enumeration_count(self, F3, F9):
         assert sum(1 for _ in monic_polys(F3, 2)) == 9
@@ -256,35 +272,30 @@ class TestPolyMultiplicationRoutes:
         assert Poly.from_packed(field, acc.value) == expected
 
     @pytest.mark.parametrize("q", [9, 257])
-    def test_canonical_products(self, q):
-        # dense pairs of mixed lengths, a zero operand, and two sparse
-        # 70000-slot operands, longer than the chunk at q = 9 (8191 slots)
-        # and at q = 257 (65535), so that pair goes through PackedSum.add
+    def test_monic_power_sums(self, q):
+        # canonical packed sums equal to the literal sums (a zero sum is 0);
+        # at q = 9 the 30 steps of d = 1 pass the 16-bit limb several times
         field = field_from_q(q)
-        rng = random.Random(q)
+        ranges = {9: ((0, 8), (1, 30), (2, 12), (3, 3)), 257: ((0, 3), (1, 4))}[q]
+        for d, kmax in ranges:
+            sums = monic_power_sums(field, d, kmax)
+            expected = oracles.naive_power_sums(field, d, kmax)
+            assert sums == [Poly(field, e).packed() for e in expected], d
+        with pytest.raises(ValueError):
+            monic_power_sums(field, -1, 3)
+        with pytest.raises(ValueError):
+            monic_power_sums(field, 1, -1)
 
-        def dense(n):
-            lead = rng.randrange(1, q)
-            return Poly(field, [rng.randrange(q) for _ in range(n)] + [lead])
-
-        sparse = []
-        for _ in range(2):
-            coeffs = [0] * 70000
-            for i in rng.sample(range(69999), 8) + [69999]:
-                coeffs[i] = rng.randrange(1, q)
-            sparse.append(Poly(field, coeffs))
-        pairs = [(dense(rng.randrange(40)), dense(rng.randrange(40))) for _ in range(20)]
-        pairs += [(Poly.zero(field), dense(5)), (sparse[0], sparse[1])]
-        products, total = canonical_products(
-            [a.packed() for a, _ in pairs], [b.packed() for _, b in pairs], field
-        )
-        expected = [
-            Poly(field, oracles.naive_poly_mul_codes(a.coeffs, b.coeffs, field))
-            for a, b in pairs
-        ]
-        assert products == [e.packed() for e in expected]
-        assert total == sum(expected, Poly.zero(field)).packed()
-        assert canonical_products([], [], field) == ([], 0)
+    def test_monic_power_sums_reduce_between_coefficients(self):
+        # with 16-bit limbs forced on F_251, a reduced power takes
+        # 250 + 2 * 250^2 > 2^16 in a step of d = 2, so every step from k = 2
+        # on reduces between its two lower coefficients
+        natural = field_from_q(251)
+        narrow = FieldSpec(natural.pp, natural.modulus)
+        narrow._limb_bits, narrow._slot_bits = 16, 16
+        got = [Poly.from_packed(narrow, n) for n in monic_power_sums(narrow, 2, 6)]
+        want = [Poly.from_packed(natural, n) for n in monic_power_sums(natural, 2, 6)]
+        assert [g.coeffs for g in got] == [w.coeffs for w in want]
 
     @pytest.mark.parametrize("q", [2, 9, 257])
     def test_canonical_values(self, q):

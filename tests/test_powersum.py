@@ -15,7 +15,7 @@ from fqzeta import (
 )
 from fqzeta import make_field
 from fqzeta.compose import HEAD, enumerate_head_free
-from fqzeta.fqpoly import block_size
+from fqzeta import fqpoly
 
 import oracles
 
@@ -123,20 +123,58 @@ class TestBruteForce:
             assert table[0] == power_sum_bruteforce(2, 0, field).value
 
     @pytest.mark.parametrize(
-        "q, kmax, ks, blocks",
+        "q, kmax, ks, size, blocks",
         [
             # 64 monics in blocks of 21: the last block holds one monic
-            (8, 300, (0, 1, 2, 63, 126, 127, 191, 255, 287, 299, 300), 4),
-            # all 25 monics in one block
-            (5, 40, range(41), 1),
+            pytest.param(
+                8, 300, (0, 1, 2, 63, 126, 127, 191, 255, 287, 299, 300), 21, 4,
+                id="8-300-ks0-4",
+            ),
+            # all 25 monics in one block under the default limb budget
+            pytest.param(5, 40, range(41), None, 1, id="5-40-ks1-1"),
         ],
     )
-    def test_table_blocks_match_single_calls(self, q, kmax, ks, blocks):
+    def test_table_blocks_match_single_calls(
+        self, monkeypatch, q, kmax, ks, size, blocks
+    ):
         field = field_from_q(q)
-        assert -(-(q**2) // block_size(field, 2 * kmax + 1)) == blocks
+        if size:
+            monkeypatch.setattr(fqpoly, "_POWER_BLOCK_LIMBS", size * (2 * kmax + 1))
+        built = []
+        build = fqpoly._mul_matrices
+
+        def spy(fs, codes):
+            built.append(len(codes))
+            return build(fs, codes)
+
+        # _mul_matrices runs twice per block at d = 2
+        monkeypatch.setattr(fqpoly, "_mul_matrices", spy)
         table = bruteforce_power_table(2, kmax, field)
+        assert len(built) == 2 * blocks
         for k in ks:
             assert table[k] == power_sum_bruteforce(2, -k, field).value, k
+
+    @pytest.mark.parametrize(
+        "q, ranges",
+        [
+            (2, ((0, 8), (1, 8), (2, 8), (3, 8), (3, 0))),
+            (3, ((0, 6), (1, 8), (2, 8), (3, 6), (2, 0))),
+            (4, ((0, 4), (1, 6), (2, 6), (3, 5), (3, 0))),
+            (8, ((0, 3), (1, 6), (2, 4), (3, 3), (1, 0))),
+            (9, ((0, 3), (1, 8), (2, 4), (3, 2), (3, 0))),
+            (27, ((0, 3), (1, 6), (2, 2), (2, 0))),
+            (257, ((0, 3), (1, 3), (1, 0))),
+            (263, ((0, 3), (1, 3), (1, 0))),
+            # 64-bit limbs
+            (65521, ((0, 2), (1, 1), (1, 0))),
+        ],
+    )
+    def test_table_matches_naive_sums(self, q, ranges):
+        field = field_from_q(q)
+        for d, kmax in ranges:
+            table = bruteforce_power_table(d, kmax, field)
+            expected = oracles.naive_power_sums(field, d, kmax)
+            assert [value.coeffs for value in table] == list(expected), (d, kmax)
 
     @pytest.mark.parametrize("q", [3, 9])
     def test_table_edge_cases(self, q):
