@@ -11,7 +11,6 @@ output, and parallel sweeps produce output identical to --jobs 1.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -27,7 +26,7 @@ from .errors import (
     ResourceLimitError,
     VanishingMismatchError,
 )
-from .fqpoly import INF, FieldSpec, Poly, field_from_q
+from .fqpoly import FieldSpec, canonical_texts, field_from_q
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -227,74 +226,46 @@ def _cmd_compositions(args) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
-_CSV_COLUMNS = (
-    "q",
-    "p",
-    "f",
-    "s_tuple",
-    "depth",
-    "value",
-    "valuation",
-    "classification",
-    "exact",
-)
-
-
-def _shown(field: FieldSpec, n: int) -> tuple[str, object]:
-    """Text and t-valuation of canonical packed n."""
-    if not n:
-        return "0", INF
-    value = Poly.from_packed(field, n)
-    return value.text(), value.t_valuation
-
-
-class _Echo:
-    """A file whose write hands back the line: csv.writer's writerow then
-    returns the formatted row instead of storing it."""
-
-    def write(self, line: str) -> str:
-        return line
+_CSV_HEADER = "q,p,f,s_tuple,depth,value,valuation,classification,exact\r\n"
 
 
 def _sweep_csv(field: FieldSpec, rows) -> Iterator[str]:
     """The CSV lines of one sweep, one string per grid row.
 
     Within a sweep the classification is a function of the value (``row``
-    checks every tuple against it) and the depth is fixed, so the quoted
-    tail `depth,value,valuation,classification,exact` is formatted by the
-    csv module once per distinct value.  s_tuple holds only digits, '-'
-    and ',', so csv quotes it exactly when it has a comma, at depth >= 2.
+    checks every tuple against it) and the depth is fixed, so the tail
+    `depth,value,valuation,classification,exact` is formatted once per
+    distinct value, a row's new values in one ``canonical_texts`` batch.
+    The tail and s_tuple hold no quote or line break, so each field is
+    quoted, as by the csv module, exactly when it has a comma: s_tuple at
+    depth >= 2, the value at f > 1 when it has a coordinate vector.
     """
     pp = field.pp
-    fmt = csv.writer(_Echo()).writerow
     shown: dict[int, str] = {}
     qpf = f"{pp.q},{pp.p},{pp.f},"
+    ends: list[str] = []  # x and the s_tuple's end, the same for every row
     for head, tails, row in rows:
-        if head:
-            lead = qpf + '"' + ",".join(map(str, head)) + ","
-            close = '",'
-        else:
-            lead, close = qpf, ","
-        lines = []
-        for x, (n, cls) in zip(tails, row):
-            tail = shown.get(n)
-            if tail is None:
-                text, val = _shown(field, n)
-                tail = shown[n] = fmt((len(head) + 1, text, val, cls, True))
-            lines.append(f"{lead}{x}{close}{tail}")
-        yield "".join(lines)
+        lead = qpf + '"' + ",".join(map(str, head)) + "," if head else qpf
+        if not ends:
+            ends = [f'{x}",' if head else f"{x}," for x in tails]
+        classes = dict(row)
+        new = [n for n in classes if n not in shown]
+        for n, (text, val) in zip(new, canonical_texts(field, new)):
+            if "," in text:
+                text = f'"{text}"'
+            shown[n] = f"{len(head) + 1},{text},{val},{classes[n]},True\r\n"
+        yield "".join([f"{lead}{end}{shown[n]}" for end, (n, _) in zip(ends, row)])
 
 
 def _sweep_records(field: FieldSpec, rows) -> Iterator[dict]:
     """The JSON records of one sweep; text and valuation are built once
-    per distinct value."""
+    per distinct value, a row's new values in one batch."""
     shown: dict[int, tuple[str, object]] = {}
     for head, tails, row in rows:
+        new = [n for n in dict.fromkeys(n for n, _ in row) if n not in shown]
+        shown.update(zip(new, canonical_texts(field, new)))
         for x, (n, cls) in zip(tails, row):
-            got = shown.get(n)
-            if got is None:
-                got = shown[n] = _shown(field, n)
-            yield mzv.zeta_record(field, head + (x,), *got, cls, True)
+            yield mzv.zeta_record(field, head + (x,), *shown[n], cls, True)
 
 
 def _sweep_task(task: tuple) -> list:
@@ -339,7 +310,7 @@ def _cmd_sweep(args) -> int:
         # every row is built before the output is opened
         header = _header_lines(list(fields.values()), not args.no_banner)
         parts = [line + "\n" for line in header]
-        parts.append(csv.writer(_Echo()).writerow(_CSV_COLUMNS))
+        parts.append(_CSV_HEADER)
         for chunk in chunks:
             parts.extend(chunk)
         _emit(parts, args.out)

@@ -16,7 +16,9 @@ overflow rule covers every packed product: canonical operands add at most
 (p-1)^2 * f * min(slots) to a limb (an F_p-multiple c * t^j * a adds at
 most (p-1)^2), and ``PackedSum`` renormalizes, or splits the shorter
 operand, before any limb could overflow.  ``canonical_values``
-renormalizes many running sums by a single fold over one buffer.
+renormalizes many running sums by a single fold over one buffer;
+``canonical_polys`` and ``canonical_texts`` read canonical ones back by
+one frombuffer, with no fold.
 ``monic_power_sums`` gives the brute-force sums of a^k over the monics of
 one degree: it steps the running powers of a block of monics as numpy limb
 arrays, one per F_p coordinate, under the same rule on a tracked limb
@@ -44,6 +46,8 @@ __all__ = [
     "Poly",
     "RationalFn",
     "PackedSum",
+    "canonical_polys",
+    "canonical_texts",
     "canonical_values",
     "make_field",
     "field_from_q",
@@ -56,6 +60,8 @@ _TABLE_LIMIT = 1024  # f > 1 fields up to this q get q x q operation tables
 _SCHOOLBOOK_CUTOFF = 2048
 _HEADROOM = 256  # coefficient products a limb of the chosen width holds
 _POWER_BLOCK_LIMBS = 1 << 17  # limbs in one monic_power_sums block array
+# the text of t^k for the degrees of most printed values, built once
+_T_POWERS = np.array(["", "t", *map("t^{}".format, range(2, 1 << 10))], object)
 
 
 class _PlusInfinity:
@@ -557,6 +563,44 @@ def canonical_values(values: Sequence[int], field: FieldSpec) -> list[int]:
     ]
 
 
+def _canonical_codes(field: FieldSpec, values: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient codes of a batch of canonical packed values, one per slot,
+    and the slot where each value starts (and the last ends): one frombuffer
+    and no fold, as canonical limbs are below p and the x-slots zero."""
+    fs, f = field, field.pp.f
+    slots = [-(-n.bit_length() // fs._slot_bits) for n in values]
+    width = fs._slot_bits // 8
+    raw = b"".join(n.to_bytes(s * width, "little") for n, s in zip(values, slots))
+    rows = np.frombuffer(raw, f"<u{fs._limb_bits // 8}").reshape(-1, fs.pack_stride)
+    weights = np.array([fs.pp.p**j for j in range(f)], np.uint64)
+    codes = rows[:, 0] if f == 1 else rows[:, :f] @ weights
+    return codes, np.cumsum([0] + slots)
+
+
+def canonical_polys(field: FieldSpec, values: Sequence[int]) -> list["Poly"]:
+    """The polynomial of each canonical packed value, read as one batch."""
+    if not values:
+        return []
+    codes, starts = _canonical_codes(field, values)
+    codes, starts = codes.tolist(), starts.tolist()
+    return [Poly._trusted(field, codes[a:b]) for a, b in zip(starts, starts[1:])]
+
+
+def canonical_texts(field: FieldSpec, values: Sequence[int]) -> list[tuple[str, object]]:
+    """(README text, t-valuation) of each canonical packed value, read as
+    one batch; the valuation is the lowest set bit over the slot bits, INF
+    for 0."""
+    if not values:
+        return []
+    codes, starts = _canonical_codes(field, values)
+    nz = np.flatnonzero(codes)
+    cuts = np.searchsorted(nz, starts)
+    degs = nz - np.repeat(starts[:-1], cuts[1:] - cuts[:-1])
+    texts = _terms_texts(field, degs, codes[nz], cuts.tolist())
+    bits = field._slot_bits
+    return list(zip(texts, [((n & -n).bit_length() - 1) // bits if n else INF for n in values]))
+
+
 def _mul_matrices(field: FieldSpec, codes: np.ndarray) -> np.ndarray:
     """Entry [u, v, i] is F_p coordinate u of codes[i] * x^v mod m(x): the
     matrix of multiplication by codes[i] on coordinate vectors, reduced."""
@@ -722,14 +766,7 @@ class Poly:
     @classmethod
     def from_packed(cls, field: FieldSpec, n: int) -> "Poly":
         """Polynomial of a packed value, canonical or a ``PackedSum.value``."""
-        if n == 0:
-            return cls._trusted(field, [])
-        p, f = field.pp.p, field.pp.f
-        head = _fold_rows(_limb_rows(n, field), field)[:, :f]
-        if f > 1:
-            weights = np.array([p**j for j in range(f)], dtype=np.uint64)
-            head = (head * weights).sum(axis=1)
-        return cls._trusted(field, head.ravel().tolist())
+        return canonical_polys(field, [_renorm_packed(n, field)])[0]
 
     # -- structure ----------------------------------------------------------
 
@@ -875,31 +912,38 @@ class Poly:
 
     def text(self) -> str:
         """Bit-exact text form: terms high-degree first, see README."""
-        cs = self.coeffs
-        if not cs:
-            return "0"
-        fs = self.field
-        if fs.pp.f == 1:
-            ctext = str
-        else:
-
-            def ctext(c: int) -> str:
-                return "[" + ",".join(map(str, fs.coords_of(c))) + "]"
-
-        # a coefficient 1 is left out before a power of t
-        parts = [
-            f"t^{k}" if c == 1 else f"{ctext(c)}*t^{k}"
-            for k in range(len(cs) - 1, 1, -1)
-            if (c := cs[k])
-        ]
-        if len(cs) > 1 and (c := cs[1]):
-            parts.append("t" if c == 1 else f"{ctext(c)}*t")
-        if cs[0]:
-            parts.append(ctext(cs[0]))
-        return "+".join(parts)
+        cs = np.array(self.coeffs, np.uint64)
+        degs = np.flatnonzero(cs)
+        return _terms_texts(self.field, degs, cs[degs], [0, len(degs)])[0]
 
     def __repr__(self) -> str:
         return f"Poly({self.text()} over F{self.field.pp.q})"
+
+
+def _terms_texts(
+    field: FieldSpec, degs: np.ndarray, codes: np.ndarray, cuts: list[int]
+) -> list[str]:
+    """README text of each polynomial j whose nonzero terms, ascending, are
+    codes[i] * t^degs[i] for cuts[j] <= i < cuts[j+1]: terms high degree
+    first as c*t^k, t^1 as t, the factor c* left out for the code 1 and a
+    constant term as c, which at f > 1 is the coordinate vector
+    [a_0,...,a_{f-1}]; 0 for no terms."""
+
+    def ctext(c: int) -> str:
+        return str(c) if field.pp.f == 1 else "[" + ",".join(map(str, field.coords_of(c))) + "]"
+
+    top = int(degs.max(initial=0)) + 1
+    powers = _T_POWERS
+    if top > len(powers):
+        powers = np.array([*powers, *map("t^{}".format, range(len(powers), top))], object)
+    # last term first, so that each polynomial's run reads high to low
+    degs, codes, end = degs[::-1], codes[::-1], len(degs)
+    pieces, cs = powers[degs].tolist(), codes.tolist()
+    # terms other than t^k: a coefficient other than 1, or a constant
+    for i in np.flatnonzero((codes != 1) | (degs == 0)).tolist():
+        c, power = ctext(cs[i]), pieces[i]
+        pieces[i] = c + "*" + power if power else c
+    return ["+".join(pieces[end - b : end - a]) or "0" for a, b in zip(cuts, cuts[1:])]
 
 
 def _mul_schoolbook(a: Poly, b: Poly) -> Poly:

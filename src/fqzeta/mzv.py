@@ -42,6 +42,7 @@ from .fqpoly import (
     PackedSum,
     Poly,
     RationalFn,
+    canonical_polys,
     canonical_values,
 )
 from .powersum import (
@@ -313,7 +314,7 @@ def zeta_negative(s: Union[tuple[int, ...], list[int]], field: FieldSpec) -> Zet
         raise PreconditionError("zeta_negative needs all-negative entries")
     engine = _NegativeEngine(field, {-x for x in idx.s})
     [(n, cls)] = engine.row(idx.s[:-1], idx.s[-1:])
-    return ZetaResult(idx, Poly.from_packed(field, n), cls, True)
+    return ZetaResult(idx, canonical_polys(field, [n])[0], cls, True)
 
 
 def _grid_rows(
@@ -367,14 +368,14 @@ def sweep_negative(
     prefix: tuple[int, ...] = (),
 ) -> Iterator[ZetaResult]:
     """The sweep of ``sweep_rows`` with one exact ZetaResult per tuple, in
-    lexicographic order.  Equal values share one Poly."""
+    lexicographic order.  Equal values share one Poly, and a row's new
+    values are unpacked in one ``canonical_polys`` batch."""
     polys: dict[int, Poly] = {}
     for head, tails, row in sweep_rows(field, depth, smin, smax, prefix):
+        new = [n for n in dict.fromkeys(n for n, _ in row) if n not in polys]
+        polys.update(zip(new, canonical_polys(field, new)))
         for x, (n, cls) in zip(tails, row):
-            value = polys.get(n)
-            if value is None:
-                value = polys[n] = Poly.from_packed(field, n)
-            yield ZetaResult(ZetaIndex(field, head + (x,)), value, cls, True)
+            yield ZetaResult(ZetaIndex(field, head + (x,)), polys[n], cls, True)
 
 
 def zeta_mixed(

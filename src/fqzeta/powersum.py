@@ -34,6 +34,7 @@ from .fqpoly import (
     PackedSum,
     Poly,
     RationalFn,
+    canonical_polys,
     monic_polys,
     monic_power_sums,
 )
@@ -144,7 +145,7 @@ def power_sum_formula(d: int, s: int, field: FieldSpec) -> PowerSumResult:
         raise ValueError("power_sum_formula requires s < 0")
     if d < 0:
         raise ValueError("d must be non-negative")
-    value = Poly.from_packed(field, power_sum_packed(d, -s, field, {}))
+    value = canonical_polys(field, [power_sum_packed(d, -s, field, {})])[0]
     return PowerSumResult(field, d, s, "formula", value)
 
 
@@ -188,8 +189,8 @@ def bruteforce_power_table(d: int, kmax: int, field: FieldSpec) -> list[Poly]:
     powers a, a^2, ..., a^kmax of each monic, a^k = a^(k-1) * a.  The sums
     come packed from ``fqpoly.monic_power_sums``, which steps the running
     powers of a block of monics as F_p coordinate arrays, so only one
-    block's powers are live at a time.  Refuses to start when q^d exceeds
-    BRUTE_FORCE_LIMIT.
+    block's powers are live at a time, and are unpacked as one batch.
+    Refuses to start when q^d exceeds BRUTE_FORCE_LIMIT.
     """
     if d < 0 or kmax < 0:
         raise ValueError("need d >= 0 and kmax >= 0")
@@ -198,7 +199,7 @@ def bruteforce_power_table(d: int, kmax: int, field: FieldSpec) -> list[Poly]:
         raise ResourceLimitError(
             f"q^d = {count} exceeds the brute-force guard {BRUTE_FORCE_LIMIT}"
         )
-    return [Poly.from_packed(field, n) for n in monic_power_sums(field, d, kmax)]
+    return canonical_polys(field, monic_power_sums(field, d, kmax))
 
 
 @lru_cache(maxsize=CACHE_LIMIT)

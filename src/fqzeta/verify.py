@@ -1004,13 +1004,15 @@ def run_mzv_suite(
         return _replay(sweep[_VALUATION])
 
     def depth_one_parity() -> str:
-        for q in qs:
+        # Goss: zeta(s) for s < 0 vanishes exactly when -s is q-even; one
+        # depth-1 sweep per field (none for an empty range) shares its
+        # engine's power sums
+        for q in qs if goss_kmax >= 1 else ():
             field = field_from_q(q)
-            pp = field.pp
-            for k in range(1, goss_kmax + 1):
-                vanished = mzv.goss_vanishing(-k, field)
-                if vanished != pp.is_q_even(k):
-                    raise CheckFailure(f"parity mismatch q={q} s={-k}")
+            [(_, tails, row)] = mzv.sweep_rows(field, 1, -goss_kmax)
+            for s, (n, _) in reversed(list(zip(tails, row))):
+                if (not n) != field.pp.is_q_even(-s):
+                    raise CheckFailure(f"parity mismatch q={q} s={s}")
         return f"1 <= -s <= {goss_kmax}, vanishing iff q-even"
 
     results.append(_run("mixed-sign-example", mixed_sign_example))

@@ -87,6 +87,38 @@ def fp_poly_mulmod(a, b, modulus, p):
     return tuple(prod)
 
 
+def naive_poly_text(codes, p, f):
+    """The README text of the polynomial with coefficient codes (low degree
+    first), rule by rule: nonzero terms from the highest degree down,
+    joined by '+'; a term is c*t^k, with t^1 written t and 'c*' dropped
+    when c is the code 1; a constant term is c alone, the code 1 included;
+    a coefficient prints as its integer when f = 1 and as its base-p
+    digits [a_0,...,a_{f-1}] otherwise; no terms print as 0."""
+
+    def coefficient(c):
+        if f == 1:
+            return str(c)
+        digits = []
+        for _ in range(f):
+            c, r = divmod(c, p)
+            digits.append(str(r))
+        return "[" + ",".join(digits) + "]"
+
+    terms = []
+    for k in range(len(codes) - 1, -1, -1):
+        c = codes[k]
+        if c == 0:
+            continue
+        if k == 0:
+            terms.append(coefficient(c))
+            continue
+        power = "t" if k == 1 else "t^" + str(k)
+        terms.append(power if c == 1 else coefficient(c) + "*" + power)
+    if not terms:
+        return "0"
+    return "+".join(terms)
+
+
 def naive_poly_mul_codes(a_codes, b_codes, field):
     """Schoolbook product over coefficient codes using independent
     coordinate arithmetic (no field tables)."""

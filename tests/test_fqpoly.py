@@ -21,6 +21,8 @@ from fqzeta.fqpoly import (
     PackedSum,
     _mul_packed,
     _mul_schoolbook,
+    canonical_polys,
+    canonical_texts,
     canonical_values,
     monic_power_sums,
     poly_gcd,
@@ -176,6 +178,28 @@ class TestPolyBasics:
         assert Poly(F9, (1,)).text() == "[1,0]"
         assert Poly(F9, (0, 1, 7)).text() == "[1,2]*t^2+t"
         assert Poly(F9, (5, 3, 0, 4, 1)).text() == "t^4+[1,1]*t^3+[0,1]*t+[2,1]"
+
+    @settings(deadline=None, max_examples=60)
+    @given(q=st.sampled_from((2, 3, 4, 8, 9, 16, 27, 257, 65521)), data=st.data())
+    def test_canonical_batches_match_the_text_oracle(self, q, data):
+        # 16-, 32- (q = 257) and 64-bit (q = 65521) limbs, f up to 4; every
+        # batch mixes lengths and holds the zero polynomial, the constants
+        # 1 and q - 1, degree-1 values and a degree past the t^k table
+        field = field_from_q(q)
+        p, f = field.pp.p, field.pp.f
+        code = st.one_of(st.just(1), st.integers(0, q - 1))
+        drawn = data.draw(st.lists(st.lists(code, max_size=40), max_size=10))
+        corners = [[], [1], [q - 1], [0, 1], [1, 1], [q - 1, q - 1], [0] * 4200 + [q - 1]]
+        batch = data.draw(st.permutations([Poly(field, c).coeffs for c in corners + drawn]))
+        packed = [Poly(field, c).packed() for c in batch]
+        polys, texts = canonical_polys(field, packed), canonical_texts(field, packed)
+        assert [poly.coeffs for poly in polys] == batch
+        assert len(texts) == len(batch)
+        for coeffs, (text, valuation) in zip(batch, texts):
+            nonzero = [k for k, c in enumerate(coeffs) if c]
+            assert text == oracles.naive_poly_text(coeffs, p, f)
+            assert valuation == (nonzero[0] if nonzero else INF)
+            assert Poly(field, coeffs).text() == text
 
     @pytest.mark.parametrize(
         "q, d, size",

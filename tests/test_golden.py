@@ -161,6 +161,31 @@ def test_extension_field_sweep_digest(capsys, depth, smin, fmt, jobs):
     assert hashlib.sha256(out.encode()).hexdigest() == F2_SWEEP_SHA256[depth, smin, fmt]
 
 
+# sha256 of the stdout of `fqzeta sweep --q Q --depth D --smin S`, taken
+# before the sweep writers read text and valuation straight from packed
+# values: f = 3 over p = 2 and p = 3, and q = 257, the first field on
+# 32-bit limbs
+WIDE_SWEEP_SHA256 = {
+    ("8", "2", "-40", "csv"): "b619fbf872622bcdeaa21d8664d33ae2ca2227d6054f65460cc3cc788593a187",
+    ("8", "2", "-40", "json"): "79f26ae6c1305e155aef7463e51bd366f6e0f6a0d7200eb71fe91755219685f7",
+    ("27", "1", "-60", "csv"): "d3f9ab05b114f9f76f43a6c768ec05f96b179af9e798eecdeaaf2e88808ea72d",
+    ("27", "1", "-60", "json"): "40cdc5e278ece2f7e9b285dac7fdb37a7e6160ec6f813ff5ce78ca885c4bdcd8",
+    ("257", "1", "-600", "csv"): "5ad81e9cddebe6e42c15ba62aa51c79b0db7dad33e611d353089f2f68cae90da",
+    ("257", "1", "-600", "json"): "872754f41f868cba71bca8d6d08d2296cb34d9ab9afc2c9fbefb87afe6ee5955",
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("q, depth, smin, fmt", sorted(WIDE_SWEEP_SHA256))
+def test_wide_field_sweep_digest(capsys, q, depth, smin, fmt, jobs):
+    out = run(
+        capsys,
+        "sweep", "--q", q, "--depth", depth, "--smin", smin,
+        "--format", fmt, "--jobs", jobs,
+    )
+    assert hashlib.sha256(out.encode()).hexdigest() == WIDE_SWEEP_SHA256[q, depth, smin, fmt]
+
+
 VERIFY_MZV_LINES = [
     "PASS mixed-sign-example: all displayed identities reproduced exactly",
     "PASS trivial-zero-equivalence: 2304 tuples evaluated exactly, 1856 zeros, "

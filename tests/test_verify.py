@@ -91,3 +91,43 @@ def test_evaluation_error_fails_both_checks(monkeypatch):
     for name in ("trivial-zero-equivalence", "valuation-additivity"):
         assert got[name] == (False, "injected at (-4, -1)")
     assert got["depth-one-parity"][0]
+
+
+def test_parity_sweeps_once_per_field(monkeypatch, reference):
+    # one depth-1 sweep, and so one engine, per field; no per-exponent call
+    depths = Counter()
+    sweep = mzv.sweep_rows
+
+    def counting(field, depth, *args, **kwargs):
+        depths[field.pp.q, depth] += 1
+        return sweep(field, depth, *args, **kwargs)
+
+    def refused(s, field):
+        raise AssertionError("goss_vanishing builds an engine per exponent")
+
+    monkeypatch.setattr(mzv, "sweep_rows", counting)
+    monkeypatch.setattr(mzv, "goss_vanishing", refused)
+    got = _by_name(verify.run_mzv_suite(**SMALL))
+    assert got == reference
+    assert {key: n for key, n in depths.items() if key[1] == 1} == {
+        (q, 1): 1 for q in SMALL["qs"]
+    }
+
+
+def test_parity_mismatch_names_q_and_s(monkeypatch, reference):
+    # at q = 3, s = -4 is q-even and zeta(-4) = 0; a nonzero value there,
+    # and at s = -6, fails the check, which names the first one
+    row = mzv._NegativeEngine.row
+
+    def wrong_at_two(engine, head, tails):
+        got = row(engine, head, tails)
+        if engine.field.pp.q == 3 and not head:
+            got = [(1, c) if x in (-4, -6) else (n, c) for x, (n, c) in zip(tails, got)]
+        return got
+
+    monkeypatch.setattr(mzv._NegativeEngine, "row", wrong_at_two)
+    got = _by_name(verify.run_mzv_suite(**SMALL))
+    assert got["depth-one-parity"] == (False, "parity mismatch q=3 s=-4")
+    assert {k: v for k, v in got.items() if k != "depth-one-parity"} == {
+        k: v for k, v in reference.items() if k != "depth-one-parity"
+    }
