@@ -22,7 +22,6 @@ from .digitlab import (
     capacity_exceeds,
     carry_free_add,
     digit_class_vector,
-    digit_sum_base_q,
     digit_sum_coords,
     extend_to_cover,
     is_even_class,

@@ -40,7 +40,6 @@ __all__ = [
     "ClassVector",
     "FracVector",
     "base_digits",
-    "digit_sum_base_q",
     "carry_free_add",
     "digit_class_vector",
     "shift_difference",
@@ -131,13 +130,6 @@ def base_digits(n: int, base: int) -> tuple[int, ...]:
         n, d = divmod(n, base)
         digits.append(d)
     return tuple(digits)
-
-
-def digit_sum_base_q(k: int, q: PrimePower) -> int:
-    """Sum of the base-q digits of k (k >= 1)."""
-    if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
-    return sum(base_digits(k, q.q))
 
 
 def carry_free_add(parts: Sequence[int], p: int) -> Optional[int]:

@@ -15,10 +15,14 @@ module knows that format.  Its limb width is per field: the smallest of
 overflow rule covers every packed product: canonical operands add at most
 (p-1)^2 * f * min(slots) to a limb (an F_p-multiple c * t^j * a adds at
 most (p-1)^2), and ``PackedSum`` renormalizes, or splits the shorter
-operand, before any limb could overflow.  ``canonical_values``
-renormalizes many running sums by a single fold over one buffer;
-``canonical_polys`` and ``canonical_texts`` read canonical ones back by
-one frombuffer, with no fold.
+operand, before any limb could overflow.  Its batch form is
+``products_fit``: a plain int sum of ``count`` such products, each with a
+factor no longer than the packed value ``longest``, stays exact while
+count * (p-1)^2 * f * (slots of ``longest``) fits a limb (count * (p-1)
+for a sum of canonical values), and then needs no ``PackedSum`` at all.
+``canonical_values`` renormalizes many running sums by a single fold over
+one buffer; ``canonical_polys`` and ``canonical_texts`` read canonical
+ones back by one frombuffer, with no fold.
 ``monic_power_sums`` gives the brute-force sums of a^k over the monics of
 one degree: it steps the running powers of a block of monics as numpy limb
 arrays, one per F_p coordinate, under the same rule on a tracked limb
@@ -49,6 +53,7 @@ __all__ = [
     "canonical_polys",
     "canonical_texts",
     "canonical_values",
+    "products_fit",
     "make_field",
     "field_from_q",
     "monic_polys",
@@ -542,6 +547,22 @@ class PackedSum:
             self.value = _renorm_packed(self.value, self.field)
             self.load = self.field.pp.p - 1
         return self.value
+
+
+def products_fit(field: FieldSpec, count: int, longest: Optional[int] = None) -> bool:
+    """Whether a plain sum of ``count`` terms, started from 0, keeps every
+    limb below the limb width, so that ``canonical_values`` reads it exactly.
+
+    Each term is a product of canonical packed values of which one is at
+    most as long as the canonical packed value ``longest``, adding at most
+    (p-1)^2 * f per slot of ``longest`` to a limb; with ``longest`` None each
+    term is a canonical packed value itself, adding at most p - 1.  A sum
+    that does not fit goes through ``PackedSum``."""
+    if longest is None:
+        bound = field.pp.p - 1
+    else:
+        bound = field._product_bound * -(-longest.bit_length() // field._slot_bits)
+    return count * bound >> field._limb_bits == 0
 
 
 def canonical_values(values: Sequence[int], field: FieldSpec) -> list[int]:

@@ -19,7 +19,11 @@ last entries x, decides the row's classification once, and still
 compares every tuple's exact value with it, raising for the first tuple
 that disagrees.  A single tuple is a one-entry row; a sweep, with s_r
 fastest, is one row per head, and ``sweep_rows`` hands those rows out
-as they are, leaving the per-tuple form to ``sweep_negative``.
+as they are, leaving the per-tuple form to ``sweep_negative``.  A
+row's sums, over d of S(d, s_r) * T(d + 1) with T the suffix sums of its
+head, are plain Python ints folded once per row, and so are the suffix
+tables; ``fqpoly.products_fit`` decides when that is exact, and a row or
+table it refuses is summed with ``PackedSum`` instead.
 
 Mixed and positive signs are evaluated with exact rational arithmetic;
 the series is finite exactly when s_1 < 0 (the leading degree is then
@@ -32,6 +36,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .digitlab import PrimePower, _threshold_floor
@@ -44,6 +49,7 @@ from .fqpoly import (
     RationalFn,
     canonical_polys,
     canonical_values,
+    products_fit,
 )
 from .powersum import (
     power_sum_bruteforce,
@@ -204,27 +210,50 @@ class _NegativeEngine:
 
     A row is the tuples head + (x,) for x in a list of last entries.  The
     engine stores packed power-sum polynomials keyed by (d, k), which is
-    also the memo of the power-sum recurrence, and, per head length, the
-    suffix-sum table of the last head seen, so that a lexicographic sweep
-    reuses all shared heads.  Loop bounds come from ``floors``, floor(L(k))
-    for each exponent k of the grid, read once from
+    also the memo of the power-sum recurrence, the column S(0, k),
+    S(1, k), ... per exponent k that the row sums read, and, per head
+    length, the suffix-sum table of the last head seen, so that a
+    lexicographic sweep reuses all shared heads.  Loop bounds come from
+    ``floors``, floor(L(k)) for each exponent k of the grid, read once from
     ``digitlab._threshold_floor``; a row's classification is the one
-    head-level ``_trivial_criterion``, decided once per row.  Values leave
-    the engine canonical packed; turning them into polynomials or text is
-    the caller's, once per distinct value.
+    head-level ``_trivial_criterion``, decided once per row.
+
+    A sum over d of S(d, k) * T(d + 1) is a plain int sum of products,
+    ``sum(map(mul, column, factors))``, and a whole row or suffix table is
+    renormalized by one ``canonical_values`` fold.  That is exact while no
+    limb can overflow, which ``fqpoly.products_fit`` decides from the
+    number of products and the longest factor T(d + 1); a row or table it
+    refuses goes through ``PackedSum``, which renormalizes on the way.
+    Values leave the engine canonical packed; turning them into polynomials
+    or text is the caller's, once per distinct value.
     """
 
     def __init__(self, field: FieldSpec, ks: Iterable[int]):
         self.field = field
         self.floors = {k: _threshold_floor(k, field.pp) for k in ks}
         self._s_packed: dict[tuple[int, int], int] = {}
+        self._columns: dict[int, list[int]] = {k: [] for k in self.floors}
         self._levels: dict[int, tuple[tuple[int, ...], list[int]]] = {}
+        self._ones = [1] * (max(self.floors.values()) + 1)
 
     def s_packed(self, d: int, k: int) -> int:
         cached = self._s_packed.get((d, k))
         if cached is None:
             cached = power_sum_packed(d, k, self.field, self._s_packed)
         return cached
+
+    def column(self, k: int, factors: Sequence[int]) -> list[int]:
+        """S(d, k), canonical packed, for d = 0 .. n - 1 at least: n - 1 is
+        the last d <= floor(L(k)) with factors[d] nonzero, so every S the
+        sum over d of S(d, k) * factors[d] reads is computed, and none
+        above it."""
+        n = min(self.floors[k] + 1, len(factors))
+        while n and not factors[n - 1]:
+            n -= 1
+        col = self._columns[k]
+        if len(col) < n:
+            col.extend(self.s_packed(d, k) for d in range(len(col), n))
+        return col
 
     def suffix_table(self, head: tuple[int, ...]) -> list[int]:
         """T(m) for m = 0 .. floor(L(-head[-1])) + 1, canonical packed.
@@ -238,37 +267,59 @@ class _NegativeEngine:
         if cached is not None and cached[0] == head:
             return cached[1]
         k = -head[-1]
-        bound = self.floors[k]
-        deeper = self.suffix_table(head[:-1]) if i > 1 else None
-        table = [0] * (bound + 2)
-        run = PackedSum(self.field)
-        for m in range(bound, -1, -1):
-            if deeper is None:
-                run.add(self.s_packed(m, k))
-            elif m + 1 < len(deeper) and deeper[m + 1]:
-                run.add(self.s_packed(m, k), deeper[m + 1])
-            table[m] = run.canonical()
+        lead, longest = self._factors(head[:-1])
+        col = self.column(k, lead)
+        n = min(len(col), len(lead))
+        terms = zip(reversed(col[:n]), reversed(lead[:n]))
+        if products_fit(self.field, n, longest):
+            sums = list(itertools.accumulate(itertools.starmap(mul, terms)))
+        else:
+            run = PackedSum(self.field)
+            sums = [run.add(a, b).value for a, b in terms]
+        sums.reverse()
+        table = canonical_values(sums + [0] * (self.floors[k] + 2 - n), self.field)
         self._levels[i] = (head, table)
         return table
+
+    def _factors(self, head: tuple[int, ...]) -> tuple[list[int], Optional[int]]:
+        """The factors T(d + 1) of S(d, k) in the sums over one more entry,
+        for d from 0 up to the last nonzero one, T the suffix table of head,
+        and the longest of them; for the empty head every factor is 1 and
+        the longest is None, as ``products_fit`` takes it."""
+        if not head:
+            return self._ones, None
+        table = self.suffix_table(head)
+        n = len(table)
+        while n > 1 and not table[n - 1]:
+            n -= 1
+        lead = table[1:n]
+        return lead, max(lead, default=0)
 
     def values(self, head: tuple[int, ...], tails: Sequence[int]) -> list[int]:
         """Canonical packed zeta(head + (x,)) for each x in tails: the sum
         over d of S(d, x) * T(d + 1), T the suffix table of head (1 for the
-        empty head), renormalized by one fold for the whole row."""
+        empty head), renormalized by one fold for the whole row.  The sums
+        are plain ints when ``fqpoly.products_fit`` admits the row, and
+        ``PackedSum``s otherwise."""
         floors = self.floors
-        deeper = self.suffix_table(head) if head else None
-        sums = []
+        lead, longest = self._factors(head)
+        if not lead:
+            return [0] * len(tails)
+        width, columns = len(lead), []
         for x in tails:
-            k = -x
-            total = PackedSum(self.field)
-            if deeper is None:
-                for d in range(floors[k] + 1):
-                    total.add(self.s_packed(d, k))
-            else:
-                for d in range(min(floors[k] + 1, len(deeper) - 1)):
-                    if deeper[d + 1]:
-                        total.add(self.s_packed(d, k), deeper[d + 1])
-            sums.append(total.value)
+            col = self._columns[-x]
+            if len(col) < width and len(col) <= floors[-x]:
+                self.column(-x, lead)
+            columns.append(col)
+        if products_fit(self.field, len(lead), longest):
+            sums = [sum(map(mul, col, lead)) for col in columns]
+        else:
+            sums = []
+            for col in columns:
+                total = PackedSum(self.field)
+                for a, b in zip(col, lead):
+                    total.add(a, b)
+                sums.append(total.value)
         return canonical_values(sums, self.field)
 
     def row(

@@ -78,6 +78,14 @@ def _pps(qs: Sequence[int]) -> list[PrimePower]:
 # ---------------------------------------------------------------------------
 
 
+def _digit_sum_base_q(k: int, q: PrimePower) -> int:
+    """Sum of the base-q digits of k (k >= 1): the literal definition that
+    ``digit-sum-identity`` holds the class-vector coordinates to."""
+    if k <= 0:
+        raise ValueError(f"k must be positive, got {k}")
+    return sum(digitlab.base_digits(k, q.q))
+
+
 def run_digit_suite(
     qs: Sequence[int] = (2, 3, 4, 5, 8, 9),
     nmax: int = 200,
@@ -92,7 +100,7 @@ def run_digit_suite(
                 v = digitlab.digit_class_vector(n, pp)
                 coords = digitlab.digit_sum_coords(v)
                 lhs = coords[0] * (pp.q - 1)
-                if lhs != digitlab.digit_sum_base_q(n, pp):
+                if lhs != _digit_sum_base_q(n, pp):
                     raise CheckFailure(f"coordinate identity fails at q={pp.q} n={n}")
                 if pp.is_q_even(n) != (coords[0].denominator == 1):
                     raise CheckFailure(f"parity vs integrality fails at q={pp.q} n={n}")

@@ -16,7 +16,6 @@ from fqzeta import (
     capacity_exceeds,
     carry_free_add,
     digit_class_vector,
-    digit_sum_base_q,
     digit_sum_coords,
     extend_to_cover,
     is_even_class,
@@ -26,6 +25,7 @@ from fqzeta import (
     vanishing_threshold,
 )
 from fqzeta.digitlab import base_digits
+from fqzeta.verify import _digit_sum_base_q as digit_sum_base_q
 
 import oracles
 

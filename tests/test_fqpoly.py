@@ -26,6 +26,7 @@ from fqzeta.fqpoly import (
     canonical_values,
     monic_power_sums,
     poly_gcd,
+    products_fit,
 )
 from fqzeta import fqpoly
 from fqzeta.mzv import _threshold_floor
@@ -343,6 +344,41 @@ class TestPolyMultiplicationRoutes:
         got = canonical_values(sums + [0], field)
         assert got == [e.packed() for e in expected] + [0]
         assert canonical_values([0, 0], field) == [0, 0]
+
+    @pytest.mark.parametrize(
+        "q, limb_bits",
+        [(2, 16), (3, 16), (9, 16), (13, 16), (257, 32), (65521, 64)],
+    )
+    def test_products_fit_at_its_edge(self, q, limb_bits):
+        # operands with every coefficient q - 1 put exactly f * (p-1)^2 per
+        # slot pair (p - 1 per term for plain values) on the middle limb of
+        # the middle slot, so the largest admitted count fills that limb
+        # to within one term of the limb width; count equal terms sum to
+        # count * term, which the PackedSum route gives as the
+        # F_p-multiple (count mod p) * term
+        field = field_from_q(q)
+        p, f = field.pp.p, field.pp.f
+        slots = 40
+        a = Poly(field, [q - 1] * slots).packed()
+
+        def largest(longest):
+            hi = 1
+            while products_fit(field, hi, longest):
+                hi *= 2
+            lo = hi // 2
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if products_fit(field, mid, longest) else (lo, mid)
+            return lo
+
+        for longest, term, per_term in ((a, a * a, slots * f * (p - 1) ** 2), (None, a, p - 1)):
+            count = largest(longest)
+            assert count == ((1 << limb_bits) - 1) // per_term
+            assert products_fit(field, count, longest)
+            assert not products_fit(field, count + 1, longest)
+            [plain] = canonical_values([count * term], field)
+            one = PackedSum(field).add(a, 1 if longest is None else a).canonical()
+            assert plain == PackedSum(field).add_scaled(one, count % p, 0).canonical()
 
     @pytest.mark.parametrize("q", [9, 257])
     def test_packed_sum_add_scaled(self, q):

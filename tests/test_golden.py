@@ -10,6 +10,7 @@ import re
 
 import pytest
 
+from fqzeta import mzv
 from fqzeta.cli import main
 
 BANNER = "# fqzeta 0.1.0\n"
@@ -184,6 +185,34 @@ def test_wide_field_sweep_digest(capsys, q, depth, smin, fmt, jobs):
         "--format", fmt, "--jobs", jobs,
     )
     assert hashlib.sha256(out.encode()).hexdigest() == WIDE_SWEEP_SHA256[q, depth, smin, fmt]
+
+
+# sha256 of the file `fqzeta sweep --q Q --depth 2 --smin S --out F` writes,
+# taken while every row sum was a PackedSum: these grids hold the rows and
+# suffix tables whose plain sums ``fqpoly.products_fit`` refuses (1 at
+# q = 13, 3 at q = 11), so both routes are pinned, and with the helper
+# refusing everything the PackedSum route must write the same bytes
+FALLBACK_SWEEP_SHA256 = {
+    ("13", "-200"): "5f9fc59d470e907e170d43433ece79cf981ded81c27ee820aa979042ca249c48",
+    ("11", "-300"): "6d72005cc4550016cbf78b73ac25d8f8e5e396c2925f37dec816d14d4dfa9a70",
+}
+
+
+@pytest.mark.parametrize("route", ["plain", "packed"])
+@pytest.mark.parametrize("q, smin", sorted(FALLBACK_SWEEP_SHA256))
+def test_fallback_sweep_digest(capsys, monkeypatch, tmp_path, q, smin, route):
+    refused = []
+
+    def refuse(*args):
+        refused.append(args)
+        return False
+
+    if route == "packed":
+        monkeypatch.setattr(mzv, "products_fit", refuse)
+    out = tmp_path / "sweep.csv"
+    run(capsys, "sweep", "--q", q, "--depth", "2", "--smin", smin, "--out", str(out))
+    assert bool(refused) == (route == "packed")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FALLBACK_SWEEP_SHA256[q, smin]
 
 
 VERIFY_MZV_LINES = [

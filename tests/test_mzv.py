@@ -79,24 +79,40 @@ class TestNegativeEvaluation:
         with pytest.raises(PreconditionError):
             zeta_negative((-8, 2), F3)
 
-    def test_sum_matches_direct_product_sum(self, F3):
-        # direct nested sum over admissible chains, depth 2
+    @pytest.mark.parametrize(
+        "q, depth, smin",
+        [
+            pytest.param(2, 2, -9, id="q2-depth2"),
+            pytest.param(3, 2, -9, id="q3-depth2"),
+            pytest.param(4, 2, -20, id="q4-depth2"),
+            pytest.param(13, 2, -80, id="q13-depth2"),
+            pytest.param(2, 3, -9, id="q2-depth3"),
+        ],
+    )
+    def test_sum_matches_direct_product_sum(self, q, depth, smin):
+        # direct nested sum over admissible chains d_1 > ... > d_r >= 0,
+        # each d_i within the threshold of -s_i, of formula-route Polys
+        import itertools
         import math
         from fqzeta import vanishing_threshold
 
-        for s1 in range(-9, 0):
-            for s2 in range(-9, 0):
-                res = zeta_negative((s1, s2), F3)
-                b1 = math.floor(vanishing_threshold(-s1, F3.pp))
-                b2 = math.floor(vanishing_threshold(-s2, F3.pp))
-                total = Poly.zero(F3)
-                for d1 in range(b1 + 1):
-                    for d2 in range(min(d1 - 1, b2) + 1):
-                        total = total + (
-                            power_sum_formula(d1, s1, F3).value
-                            * power_sum_formula(d2, s2, F3).value
-                        )
-                assert res.value == total, (s1, s2)
+        field = field_from_q(q)
+
+        def chains(s, above):
+            if not s:
+                yield Poly.one(field)
+                return
+            top = math.floor(vanishing_threshold(-s[0], field.pp))
+            for d in range(min(above - 1, top), len(s) - 2, -1):
+                factor = power_sum_formula(d, s[0], field).value
+                for rest in chains(s[1:], d):
+                    yield factor * rest
+
+        for s in itertools.product(range(smin, 0), repeat=depth):
+            total = Poly.zero(field)
+            for term in chains(s, math.inf):
+                total = total + term
+            assert zeta_negative(s, field).value == total, (q, s)
 
 
 class TestClassification:
