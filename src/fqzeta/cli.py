@@ -172,14 +172,18 @@ def _cmd_compositions(args) -> int:
     pp = field.pp
     if (args.k is None) == (args.N is None):
         raise PreconditionError("give exactly one of --k (head-free) or --N (tail-free)")
+    if args.max_results < 0:
+        raise PreconditionError("--max-results must be non-negative")
     what = args.what
-    lines = _header_lines([field], not args.no_banner)
-    payload: list = []
+    as_json = args.format == "json"
+    # JSON records or text lines, never both: a long list is built once
+    rows: list = []
 
     def comp_rows(comps: Sequence[compose.Composition]) -> None:
-        for c in comps:
-            payload.append({"parts": list(c.parts), "weight": c.weight})
-            lines.append(f"{c.parts} weight={c.weight}")
+        if as_json:
+            rows.extend({"parts": list(c.parts), "weight": c.weight} for c in comps)
+        else:
+            rows.extend(f"{c.parts} weight={c.weight}\n" for c in comps)
 
     try:
         if args.k is not None:
@@ -204,21 +208,20 @@ def _cmd_compositions(args) -> int:
                 comp_rows(compose.optimal_set(n, d, pp))
             elif what == "matrices":
                 for m in compose.valid_class_matrices(n, d, pp):
-                    rows = [list(r) for r in m.rows()]
-                    payload.append({"rows": rows})
-                    lines.append(str(rows))
+                    mrows = [list(r) for r in m.rows()]
+                    rows.append({"rows": mrows} if as_json else f"{mrows}\n")
             else:
                 raise PreconditionError(
                     f"--what {what} needs --k (head-free convention)"
                 )
     except EmptySetError:
-        lines.append("(empty set)")
-        payload = []
+        rows = [] if as_json else ["(empty set)\n"]
 
-    if args.format == "json":
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    if as_json:
+        _emit(json.dumps(rows, indent=2) + "\n", args.out)
     else:
-        _emit("\n".join(lines) + "\n", args.out)
+        head = [line + "\n" for line in _header_lines([field], not args.no_banner)]
+        _emit(head + rows, args.out)
     return EXIT_OK
 
 

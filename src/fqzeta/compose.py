@@ -22,6 +22,17 @@ largest and the unique minimum-weight member, which gives fast structural
 routes to the greedy, modest and optimal compositions.  The selections
 made from the full enumeration, their independent oracle, live in verify.
 
+A matrix expands to the product, over digit classes, of per-class sum
+tables: each lists the per-column sums for every way to hand one class's
+p-powers to the columns, and depends only on the class's (p-power,
+multiplicity) pairs and the column counts.  The tables and each target's
+per-class grouping are cached (CACHE_LIMIT entries each), so every
+matrix, target, field and caller with the same key shares one table; the
+enumerations themselves are not cached, since their size grows with the
+output.  A table can hold as many rows as one class has assignments, so
+the bound is on entries, not bytes: at q = 2, a target with ten one-bits
+split (3, 3, 2, 2) over four columns has a 25,200-row table.
+
 A tuple expanded from a valid class matrix is carry-free (its columns sum
 to the target's class vector) and q-even in its constrained slots (those
 columns are even-class) by construction, so the enumerators and the
@@ -36,6 +47,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add, sub
 from typing import Iterator, Optional, Sequence
 
 from .digitlab import (
@@ -157,16 +169,28 @@ class ClassMatrix:
         return True
 
 
+@lru_cache(maxsize=CACHE_LIMIT)
+def _class_powers(n: int, q: PrimePower) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per digit class (exponent mod f), the (p-power, multiplicity) pairs
+    of n's nonzero base-p digits, largest power first.  Cached
+    (CACHE_LIMIT entries): the one walk over a target's digits."""
+    groups: list[list[tuple[int, int]]] = [[] for _ in range(q.f)]
+    digits = base_digits(n, q.p)
+    for j in range(len(digits) - 1, -1, -1):
+        if digits[j]:
+            groups[j % q.f].append((q.p**j, digits[j]))
+    return tuple(tuple(g) for g in groups)
+
+
 def power_classes(n: int, q: PrimePower) -> tuple[tuple[int, ...], ...]:
     """Non-increasing p-power values of a positive integer n, one sequence
     per residue class (mod f) of the exponent."""
     if n <= 0:
         raise ValueError("n must be positive")
-    seqs: list[list[int]] = [[] for _ in range(q.f)]
-    digits = base_digits(n, q.p)
-    for j in range(len(digits) - 1, -1, -1):
-        seqs[j % q.f].extend([q.p**j] * digits[j])
-    return tuple(tuple(s) for s in seqs)
+    return tuple(
+        tuple(val for val, mult in group for _ in range(mult))
+        for group in _class_powers(n, q)
+    )
 
 
 def _even_dot(entries: Sequence[int], powers: Sequence[int], qm1: int) -> bool:
@@ -285,38 +309,50 @@ def _bounded_compositions(
             yield (y,) + rest
 
 
-def _class_assignments(
+@lru_cache(maxsize=CACHE_LIMIT)
+def _class_sums(
     powers: tuple[tuple[int, int], ...], caps: tuple[int, ...]
-) -> Iterator[tuple[int, ...]]:
-    # powers: (value, multiplicity) per distinct p-power of one digit class
-    if not powers:
-        if not any(caps):
-            yield (0,) * len(caps)
-        return
-    (val, mult) = powers[0]
-    rest = powers[1:]
-    for combo in _bounded_compositions(mult, caps):
-        new_caps = tuple(c - y for c, y in zip(caps, combo))
-        for tail_sums in _class_assignments(rest, new_caps):
-            yield tuple(s + y * val for s, y in zip(tail_sums, combo))
+) -> tuple[tuple[int, ...], ...]:
+    """Per-column sums for every way to hand one digit class's p-powers
+    to the columns, column i taking caps[i] of them.
+
+    powers are the class's (value, multiplicity) pairs, largest first.
+    One pass per distinct power extends each partial (sums, caps left)
+    by every split of its multiplicity, so the table is ordered with the
+    largest power's split most significant.  Cached (CACHE_LIMIT
+    entries): the table depends only on (powers, caps), so every matrix,
+    target and field with the same key shares it.
+    """
+    partial = [((0,) * len(caps), caps)]
+    for val, mult in powers:
+        steps: dict = {}  # caps left -> [(added sums, caps left after)]
+        grown = []
+        for sums, left in partial:
+            opts = steps.get(left)
+            if opts is None:
+                opts = steps[left] = [
+                    (tuple(y * val for y in split), tuple(map(sub, left, split)))
+                    for split in _bounded_compositions(mult, left)
+                ]
+            grown.extend((tuple(map(add, sums, step)), rest) for step, rest in opts)
+        partial = grown
+    return tuple(sums for sums, left in partial if not any(left))
 
 
 def _iter_matrix_expansion(
     matrix: ClassMatrix,
 ) -> Iterator[tuple[int, ...]]:
-    q = matrix.q
-    digits = base_digits(matrix.target, q.p)
-    per_class: list[list[tuple[int, int]]] = [[] for _ in range(q.f)]
-    for j in range(len(digits) - 1, -1, -1):
-        if digits[j]:
-            per_class[j % q.f].append((q.p**j, digits[j]))
-    class_options = []
-    for c in range(q.f):
-        caps = tuple(col[c] for col in matrix.columns)
-        opts = list(_class_assignments(tuple(per_class[c]), caps))
-        class_options.append(opts)
-    for pick in itertools.product(*class_options):
-        yield tuple(sum(vals) for vals in zip(*pick))
+    # the product of the per-class tables, the first class most significant
+    columns = matrix.columns
+    tables = [
+        _class_sums(group, tuple(col[c] for col in columns))
+        for c, group in enumerate(_class_powers(matrix.target, matrix.q))
+    ]
+    if len(tables) == 1:
+        yield from tables[0]
+        return
+    for pick in itertools.product(*tables):
+        yield tuple(map(sum, zip(*pick)))
 
 
 def iter_tail_free_parts(n: int, d: int, q: PrimePower) -> Iterator[tuple[int, ...]]:
@@ -330,6 +366,8 @@ def enumerate_tail_free(
 ) -> tuple[Composition, ...]:
     """The complete set of tail-free compositions of n with d parts,
     sorted lexicographically on parts."""
+    if max_results < 0:
+        raise ValueError("max_results must be non-negative")
     out = []
     for parts in iter_tail_free_parts(n, d, q):
         out.append(parts)
@@ -353,6 +391,8 @@ def enumerate_head_free(
         raise ValueError("k must be positive")
     if d < 0:
         raise ValueError("d must be non-negative")
+    if max_results < 0:
+        raise ValueError("max_results must be non-negative")
     if d == 0:
         return (Composition(q, (k,), HEAD, k),)
     out = []

@@ -55,6 +55,46 @@ def naive_head_free(k: int, d: int, q: int, p: int) -> set[tuple[int, ...]]:
     return out
 
 
+def naive_tail_free(
+    n: int, d: int, q: int, p: int, columns=None
+) -> set[tuple[int, ...]]:
+    """All (X_1..X_d) with carry-free sum n and positive q-even X_i for
+    i < d: every way to split each base-p digit of n over the d parts,
+    which is what carry-free means, then filtered.
+
+    With columns (one digit class vector per part, f = len(columns[0])),
+    only the compositions whose parts have those class vectors; a split
+    is dropped as soon as a part holds more digits of a class than its
+    column allows.
+    """
+    digits = digits_of(n, p)
+    f = len(columns[0]) if columns else 1
+    out = set()
+
+    def walk(j, parts, used):
+        if j == len(digits):
+            if columns is not None and used != columns:
+                return
+            if all(x > 0 and x % (q - 1) == 0 for x in parts[:-1]):
+                out.add(parts)
+            return
+        for split in itertools.product(range(digits[j] + 1), repeat=d):
+            if sum(split) != digits[j]:
+                continue
+            grown = tuple(
+                col[: j % f] + (col[j % f] + s,) + col[j % f + 1 :]
+                for col, s in zip(used, split)
+            )
+            if columns is not None and any(
+                a > b for col, cap in zip(grown, columns) for a, b in zip(col, cap)
+            ):
+                continue
+            walk(j + 1, tuple(x + s * p**j for x, s in zip(parts, split)), grown)
+
+    walk(0, (0,) * d, ((0,) * f,) * d)
+    return out
+
+
 def naive_multinomial_mod(k: int, parts, p: int) -> int:
     if sum(parts) != k:
         return 0

@@ -206,6 +206,15 @@ class TestCompositionsCommand:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("target", [("--k", "8"), ("--N", "8")])
+    def test_negative_max_results_is_usage_error(self, capsys, target):
+        code, out, err = run(
+            capsys, "compositions", "--q", "3", *target, "--d", "1",
+            "--max-results", "-1",
+        )
+        assert (code, out) == (1, "")
+        assert "--max-results" in err
+
     def test_convention_mismatch(self, capsys):
         code, _, err = run(
             capsys,

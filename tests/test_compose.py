@@ -111,6 +111,17 @@ class TestEnumeration:
     def test_result_cap(self, q2):
         with pytest.raises(ResourceLimitError):
             enumerate_tail_free(255, 4, q2, max_results=10)
+        # the cap stops the enumeration, not the shared tables it read
+        full = [c.parts for c in enumerate_tail_free(255, 4, q2)]
+        assert full == sorted(oracles.naive_tail_free(255, 4, 2, 2))
+
+    def test_negative_result_cap_rejected(self, q3):
+        for d in (0, 1):
+            with pytest.raises(ValueError):
+                enumerate_head_free(8, d, q3, max_results=-1)
+        with pytest.raises(ValueError):
+            enumerate_tail_free(8, 2, q3, max_results=-1)
+        assert enumerate_tail_free(8, 5, q3, max_results=0) == ()
 
 
 class TestClassMatrices:

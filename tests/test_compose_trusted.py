@@ -3,11 +3,14 @@ class matrices, against independent references.
 
 Every composition the enumerators and the structural selections return
 must survive a rebuild through the public, validating constructor; the
-head-free enumeration must equal the naive filter in tests/oracles.py; and
-the pruned class-matrix search must equal an unpruned filter over every
-d-tuple of columns.
+head-free enumeration must equal the naive filter in tests/oracles.py; the
+pruned class-matrix search must equal an unpruned filter over every
+d-tuple of columns; and each matrix's expansion from the cached per-class
+sum tables must equal the naive tail-free filter restricted to its
+columns, in the order pinned by a digest.
 """
 
+import hashlib
 from itertools import product
 
 import pytest
@@ -17,16 +20,20 @@ from fqzeta.compose import (
     TAIL,
     ClassMatrix,
     Composition,
+    _class_powers,
+    _class_sums,
+    _iter_matrix_expansion,
     enumerate_head_free,
     enumerate_tail_free,
     greedy,
+    iter_tail_free_parts,
     modest,
     monotone_rep,
     optimal_set,
     tail_free_nonempty,
     valid_class_matrices,
 )
-from fqzeta.digitlab import PrimePower, digit_class_vector
+from fqzeta.digitlab import CACHE_LIMIT, PrimePower, digit_class_vector
 
 import oracles
 
@@ -102,3 +109,49 @@ def test_pruning_matches_unpruned_filter(q, nmax):
         for d in range(1, 4):
             got = [m.columns for m in valid_class_matrices(n, d, pp)]
             assert got == unpruned_class_matrices(n, d, pp), (n, d)
+
+
+# sha256 of repr([(q, n, d, list(iter_tail_free_parts(n, d, pp))) ...]) over
+# the cells below, taken when matrices still expanded by recursion
+EXPANSION_ORDER_DIGEST = (
+    "a4352e3d0fea1b0c103136c5a7c089d1883198c3a0383e030d46f46672d6a338"
+)
+
+
+def test_expansion_order_pinned():
+    cells = [
+        (q, n, d, list(iter_tail_free_parts(n, d, PrimePower.from_q(q))))
+        for q in QS
+        for n in range(1, 61)
+        for d in range(1, 5)
+    ]
+    digest = hashlib.sha256(repr(cells).encode()).hexdigest()
+    assert digest == EXPANSION_ORDER_DIGEST
+
+
+# the smallest targets with 4-part tail-free compositions at q = 8, and
+# more one-bits; at q = 27 the smallest, with base-3 digits all 2
+@pytest.mark.parametrize(
+    "q, n", [(8, 511), (8, 1023), (8, 2047), (8, 3071), (27, 19682)]
+)
+def test_matrix_expansion_matches_naive_filter(q, n):
+    pp = PrimePower.from_q(q)
+    mats = valid_class_matrices(n, 4, pp)
+    assert mats
+    for m in mats:
+        got = list(_iter_matrix_expansion(m))
+        assert len(got) == len(set(got)), m.columns
+        expected = oracles.naive_tail_free(n, 4, q, pp.p, m.columns)
+        assert set(got) == expected, m.columns
+
+
+def test_class_sums_cached():
+    assert _class_sums.cache_info().maxsize == CACHE_LIMIT
+    for q, n, d in ((9, 131, 2), (27, 728, 3), (2, 255, 4)):
+        pp = PrimePower.from_q(q)
+        for m in valid_class_matrices(n, d, pp):
+            for c, group in enumerate(_class_powers(n, pp)):
+                caps = tuple(col[c] for col in m.columns)
+                table = _class_sums(group, caps)
+                assert _class_sums(group, caps) is table
+                assert table == _class_sums.__wrapped__(group, caps)

@@ -6,6 +6,7 @@ built through the trusted constructor and the class-matrix pruning moved
 to integer coordinates; the outputs must stay byte-identical.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -143,13 +144,18 @@ COMPOSITION_EXAMPLES = [
             {"parts": [56, 7, 0], "weight": 70},
         ],
     ),
+    (
+        ("compositions", "--q", "3", "--k", "8", "--d", "5", "--what", "list"),
+        BANNER + "# q=3 p=3 f=1 modulus=x\n",
+        [],
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "argv, text, payload",
     COMPOSITION_EXAMPLES,
-    ids=['list-k-q2', 'list-k-q8', 'list-N-q9', 'list-N-q27', 'greedy-q4', 'greedy-q9', 'greedy-empty-q8', 'optimal-q3', 'optimal-q8'],
+    ids=['list-k-q2', 'list-k-q8', 'list-N-q9', 'list-N-q27', 'greedy-q4', 'greedy-q9', 'greedy-empty-q8', 'optimal-q3', 'optimal-q8', 'list-empty-q3'],
 )
 class TestCompositionsGolden:
     def test_text(self, capsys, argv, text, payload):
@@ -158,3 +164,28 @@ class TestCompositionsGolden:
     def test_json(self, capsys, argv, text, payload):
         out = run(capsys, *argv, "--format", "json")
         assert out == json.dumps(payload, indent=2) + "\n"
+
+
+# sha256 of `fqzeta compositions ARGS --no-banner`, taken before the text
+# and JSON outputs were built separately
+LISTING_DIGESTS = [
+    (
+        ("--q", "2", "--N", "255", "--d", "4"),
+        "1075a4490743ac5ff822869668872a7ef5fdf02b8c745a38f9af502efdc5e951",
+    ),
+    (
+        ("--q", "9", "--k", "242", "--d", "2", "--format", "json"),
+        "0b8eb0f93785f43049592213c512f9ddd4bcc27f46cfd1ef003364edadf5da9f",
+    ),
+    (
+        ("--q", "27", "--N", "728", "--d", "3"),
+        "35bbe5b0cb0f2d7196e1bffdaaaab3c61b9da73b21df305bf671b3c194573df2",
+    ),
+]
+
+
+@pytest.mark.parametrize("args, digest", LISTING_DIGESTS, ids=["N-q2", "k-q9-json", "N-q27"])
+def test_listing_digest(capsys, args, digest):
+    out = run(capsys, "compositions", *args, "--no-banner")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
