@@ -29,9 +29,14 @@ multiplicity) pairs and the column counts.  The tables and each target's
 per-class grouping are cached (CACHE_LIMIT entries each), so every
 matrix, target, field and caller with the same key shares one table; the
 enumerations themselves are not cached, since their size grows with the
-output.  A table can hold as many rows as one class has assignments, so
-the bound is on entries, not bytes: at q = 2, a target with ten one-bits
-split (3, 3, 2, 2) over four columns has a 25,200-row table.
+output.  A table is built and cached only up to TABLE_ROWS rows, so the
+cache holds at most CACHE_LIMIT * TABLE_ROWS rows; the default-scale
+verify suites leave 4,267 tables of at most 894 rows, 115,686 in all,
+and the largest table of the q = 2 target 1023 at d = 4 has 25,200 rows
+in about 3.7 MB.  A class with more assignments than TABLE_ROWS is
+walked lazily, split by split of its largest power down to uncached
+tables of the rest, in the same order; so an enumeration's max_results
+cap stops it after that many results, whatever the size of its classes.
 
 A tuple expanded from a valid class matrix is carry-free (its columns sum
 to the target's class vector) and q-even in its constrained slots (those
@@ -83,6 +88,7 @@ TAIL = "tail"
 
 DIGIT_SUM_LIMIT = 24
 ENUMERATION_LIMIT = 2_000_000
+TABLE_ROWS = 1 << 15  # rows of the largest cached per-class sum table
 
 
 @dataclass(frozen=True)
@@ -312,16 +318,19 @@ def _bounded_compositions(
 @lru_cache(maxsize=CACHE_LIMIT)
 def _class_sums(
     powers: tuple[tuple[int, int], ...], caps: tuple[int, ...]
-) -> tuple[tuple[int, ...], ...]:
+) -> Optional[tuple[tuple[int, ...], ...]]:
     """Per-column sums for every way to hand one digit class's p-powers
-    to the columns, column i taking caps[i] of them.
+    to the columns, column i taking caps[i] of them; None when there are
+    more than TABLE_ROWS of them.
 
     powers are the class's (value, multiplicity) pairs, largest first.
-    One pass per distinct power extends each partial (sums, caps left)
-    by every split of its multiplicity, so the table is ordered with the
-    largest power's split most significant.  Cached (CACHE_LIMIT
-    entries): the table depends only on (powers, caps), so every matrix,
-    target and field with the same key shares it.
+    One pass per distinct power extends each partial (sums, caps left) by
+    every split of its multiplicity, so the table is ordered with the
+    largest power's split most significant.  A partial extends to at
+    least one row and distinct partials to distinct rows, so the build
+    stops as soon as the partials outnumber TABLE_ROWS.  Cached
+    (CACHE_LIMIT entries): the table depends only on (powers, caps), so
+    every matrix, target and field with the same key shares it.
     """
     partial = [((0,) * len(caps), caps)]
     for val, mult in powers:
@@ -335,24 +344,59 @@ def _class_sums(
                     for split in _bounded_compositions(mult, left)
                 ]
             grown.extend((tuple(map(add, sums, step)), rest) for step, rest in opts)
+            if len(grown) > TABLE_ROWS:
+                return None
         partial = grown
     return tuple(sums for sums, left in partial if not any(left))
+
+
+def _iter_class_sums(
+    powers: tuple[tuple[int, int], ...],
+    caps: tuple[int, ...],
+    base: tuple[int, ...],
+) -> Iterator[tuple[int, ...]]:
+    # The rows of a class with no table, each plus base, in the table's
+    # order: every split of the largest power, then the rest of the class.
+    # The rest's tables are built uncached, since they are not shared.
+    (val, mult), rest = powers[0], powers[1:]
+    for split in _bounded_compositions(mult, caps):
+        left = tuple(map(sub, caps, split))
+        head = tuple(b + y * val for b, y in zip(base, split))
+        table = _class_sums.__wrapped__(rest, left)
+        if table is None:
+            yield from _iter_class_sums(rest, left, head)
+        else:
+            for sums in table:
+                yield tuple(map(add, head, sums))
+
+
+def _iter_classes(
+    keys: Sequence[tuple[tuple[tuple[int, int], ...], tuple[int, ...]]],
+) -> Iterator[tuple[int, ...]]:
+    # the product of the class tables keyed (powers, caps), the first class
+    # most significant; a class without a table is generated afresh each
+    # time it is walked, so nothing it yields is held
+    (powers, caps), rest = keys[0], keys[1:]
+    rows = _class_sums(powers, caps)
+    if rows is None:
+        rows = _iter_class_sums(powers, caps, (0,) * len(caps))
+    if not rest:
+        yield from rows
+        return
+    for row in rows:
+        for sums in _iter_classes(rest):
+            yield tuple(map(add, row, sums))
 
 
 def _iter_matrix_expansion(
     matrix: ClassMatrix,
 ) -> Iterator[tuple[int, ...]]:
-    # the product of the per-class tables, the first class most significant
     columns = matrix.columns
-    tables = [
-        _class_sums(group, tuple(col[c] for col in columns))
-        for c, group in enumerate(_class_powers(matrix.target, matrix.q))
+    groups = _class_powers(matrix.target, matrix.q)
+    keys = [
+        (group, tuple(col[c] for col in columns)) for c, group in enumerate(groups)
     ]
-    if len(tables) == 1:
-        yield from tables[0]
-        return
-    for pick in itertools.product(*tables):
-        yield tuple(map(sum, zip(*pick)))
+    return _iter_classes(keys)
 
 
 def iter_tail_free_parts(n: int, d: int, q: PrimePower) -> Iterator[tuple[int, ...]]:

@@ -215,6 +215,16 @@ class TestCompositionsCommand:
         assert (code, out) == (1, "")
         assert "--max-results" in err
 
+    def test_result_cap_exit_code(self, capsys):
+        # the head-free index set of 2^16 - 1 at d = 15 has 16! members in
+        # one class-matrix class
+        code, out, err = run(
+            capsys, "compositions", "--q", "2", "--k", "65535", "--d", "15",
+            "--max-results", "10000",
+        )
+        assert (code, out) == (3, "")
+        assert "resource limit" in err
+
     def test_convention_mismatch(self, capsys):
         code, _, err = run(
             capsys,

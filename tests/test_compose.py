@@ -115,6 +115,12 @@ class TestEnumeration:
         full = [c.parts for c in enumerate_tail_free(255, 4, q2)]
         assert full == sorted(oracles.naive_tail_free(255, 4, 2, 2))
 
+    def test_result_cap_on_a_class_too_large_for_a_table(self, q2):
+        # the all-ones matrix of 2^16 - 1 has 16! compositions; the cap
+        # stops the lazy walk after max_results of them
+        with pytest.raises(ResourceLimitError):
+            enumerate_tail_free(2**16 - 1, 16, q2, max_results=10_000)
+
     def test_negative_result_cap_rejected(self, q3):
         for d in (0, 1):
             with pytest.raises(ValueError):

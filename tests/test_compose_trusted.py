@@ -7,7 +7,8 @@ head-free enumeration must equal the naive filter in tests/oracles.py; the
 pruned class-matrix search must equal an unpruned filter over every
 d-tuple of columns; and each matrix's expansion from the cached per-class
 sum tables must equal the naive tail-free filter restricted to its
-columns, in the order pinned by a digest.
+columns, in the order pinned by a digest, which the lazy walk of a class
+too large for a table must keep too.
 """
 
 import hashlib
@@ -22,6 +23,7 @@ from fqzeta.compose import (
     Composition,
     _class_powers,
     _class_sums,
+    _iter_class_sums,
     _iter_matrix_expansion,
     enumerate_head_free,
     enumerate_tail_free,
@@ -118,15 +120,40 @@ EXPANSION_ORDER_DIGEST = (
 )
 
 
-def test_expansion_order_pinned():
+@pytest.fixture
+def table_rows(monkeypatch):
+    """Set compose.TABLE_ROWS for one test, with the table cache emptied
+    on the way in and out so no table crosses the bound."""
+    import fqzeta.compose as compose
+
+    def use(rows):
+        monkeypatch.setattr(compose, "TABLE_ROWS", rows)
+        _class_sums.cache_clear()
+
+    yield use
+    _class_sums.cache_clear()
+
+
+def expansion_order_digest():
     cells = [
         (q, n, d, list(iter_tail_free_parts(n, d, PrimePower.from_q(q))))
         for q in QS
         for n in range(1, 61)
         for d in range(1, 5)
     ]
-    digest = hashlib.sha256(repr(cells).encode()).hexdigest()
-    assert digest == EXPANSION_ORDER_DIGEST
+    return hashlib.sha256(repr(cells).encode()).hexdigest()
+
+
+def test_expansion_order_pinned():
+    assert expansion_order_digest() == EXPANSION_ORDER_DIGEST
+
+
+# bounds of 1 and 8 rows send most classes through the lazy walk, at
+# every level of it
+@pytest.mark.parametrize("rows", [1, 8])
+def test_lazy_walk_order_pinned(table_rows, rows):
+    table_rows(rows)
+    assert expansion_order_digest() == EXPANSION_ORDER_DIGEST
 
 
 # the smallest targets with 4-part tail-free compositions at q = 8, and
@@ -155,3 +182,22 @@ def test_class_sums_cached():
                 table = _class_sums(group, caps)
                 assert _class_sums(group, caps) is table
                 assert table == _class_sums.__wrapped__(group, caps)
+
+
+def test_class_sums_bounded(table_rows):
+    # 2^16 - 1 at q = 2: the all-ones matrix's one class has 16! rows
+    q2 = PrimePower.from_q(2)
+    group = _class_powers(2**16 - 1, q2)[0]
+    assert _class_sums(group, (1,) * 16) is None
+    # the lazy walk, split down to tables of at most 8 rows, yields a
+    # table's rows in the table's order
+    cases = []
+    for n, d in ((63, 3), (255, 4)):
+        group = _class_powers(n, q2)[0]
+        for m in valid_class_matrices(n, d, q2):
+            caps = tuple(col[0] for col in m.columns)
+            cases.append((group, caps, _class_sums.__wrapped__(group, caps)))
+    table_rows(8)
+    for group, caps, table in cases:
+        walked = list(_iter_class_sums(group, caps, (0,) * len(caps)))
+        assert walked == list(table), caps
