@@ -53,7 +53,6 @@ from .errors import (
 )
 from .fqpoly import (
     INF,
-    FieldElement,
     FieldSpec,
     Poly,
     RationalFn,

@@ -166,9 +166,6 @@ class ClassVector:
     def is_zero(self) -> bool:
         return not any(self.entries)
 
-    def as_fractions(self) -> "FracVector":
-        return FracVector(self.q, tuple(Fraction(e) for e in self.entries))
-
     def __le__(self, other: "ClassVector") -> bool:
         return all(a <= b for a, b in zip(self.entries, other.entries))
 

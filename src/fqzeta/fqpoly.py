@@ -46,12 +46,12 @@ from .digitlab import CACHE_LIMIT, PrimePower
 __all__ = [
     "INF",
     "FieldSpec",
-    "FieldElement",
     "Poly",
     "RationalFn",
     "PackedSum",
     "canonical_polys",
     "canonical_texts",
+    "canonical_valuations",
     "canonical_values",
     "products_fit",
     "make_field",
@@ -333,21 +333,6 @@ class FieldSpec:
 
     # -- convenience -------------------------------------------------------
 
-    def element(self, code: int) -> "FieldElement":
-        return FieldElement(self, code % self.pp.q)
-
-    def from_int(self, n: int) -> "FieldElement":
-        """Image of an ordinary integer in the prime subfield."""
-        return FieldElement(self, n % self.pp.p)
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
     def modulus_text(self) -> str:
         return self._modulus_text
 
@@ -386,64 +371,6 @@ def make_field(p: int, f: int) -> FieldSpec:
 def field_from_q(q: int) -> FieldSpec:
     pp = PrimePower.from_q(q)
     return make_field(pp.p, pp.f)
-
-
-class FieldElement:
-    """Immutable element of a FieldSpec, stored as its canonical code."""
-
-    __slots__ = ("field", "code")
-
-    def __init__(self, field: FieldSpec, code: int):
-        if not 0 <= code < field.pp.q:
-            raise ValueError(f"code {code} out of range for q={field.pp.q}")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "code", code)
-
-    def __setattr__(self, *a):
-        raise AttributeError("FieldElement is immutable")
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.field.coords_of(self.code)
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.field, self.field.add_codes(self.code, other.code))
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        return self + (-other)
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.neg_code(self.code))
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.field, self.field.mul_codes(self.code, other.code))
-
-    def __pow__(self, e: int) -> "FieldElement":
-        return FieldElement(self.field, self.field.pow_code(self.code, e))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv_code(self.code))
-
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        return self * other.inverse()
-
-    def __bool__(self) -> bool:
-        return self.code != 0
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FieldElement)
-            and self.field == other.field
-            and self.code == other.code
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field.pp, self.code))
-
-    def __repr__(self) -> str:
-        if self.field.pp.f == 1:
-            return f"F{self.field.pp.q}({self.code})"
-        return f"F{self.field.pp.q}{list(self.coeffs)}"
 
 
 # ---------------------------------------------------------------------------
@@ -618,8 +545,14 @@ def canonical_texts(field: FieldSpec, values: Sequence[int]) -> list[tuple[str, 
     cuts = np.searchsorted(nz, starts)
     degs = nz - np.repeat(starts[:-1], cuts[1:] - cuts[:-1])
     texts = _terms_texts(field, degs, codes[nz], cuts.tolist())
+    return list(zip(texts, canonical_valuations(field, values)))
+
+
+def canonical_valuations(field: FieldSpec, values: Sequence[int]) -> list:
+    """The t-valuation of each canonical packed value: its lowest set bit
+    over the slot bits, INF for 0."""
     bits = field._slot_bits
-    return list(zip(texts, [((n & -n).bit_length() - 1) // bits if n else INF for n in values]))
+    return [((n & -n).bit_length() - 1) // bits if n else INF for n in values]
 
 
 def _mul_matrices(field: FieldSpec, codes: np.ndarray) -> np.ndarray:
@@ -863,13 +796,6 @@ class Poly:
             base = base * base
             e >>= 1
         return out
-
-    def evaluate(self, point: FieldElement) -> FieldElement:
-        fs = self.field
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = fs.add_codes(fs.mul_codes(acc, point.code), c)
-        return FieldElement(fs, acc)
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         self._check(other)

@@ -21,7 +21,7 @@ from . import compose, digitlab, mzv, powersum
 from .compose import HEAD, TAIL
 from .digitlab import ClassVector, PrimePower
 from .errors import DegenerateCoverError, EmptySetError, FqzetaError, PreconditionError
-from .fqpoly import INF, Poly, RationalFn, field_from_q
+from .fqpoly import INF, Poly, RationalFn, canonical_valuations, field_from_q
 
 __all__ = [
     "CheckResult",
@@ -892,62 +892,52 @@ _TRIVIAL = "trivial-zero-equivalence"
 _VALUATION = "valuation-additivity"
 
 
-def _check_trivial_zero(res: mzv.ZetaResult, q: int) -> bool:
-    # zeta_negative raises VanishingMismatchError on any criterion/value
-    # disagreement; recheck the prediction.  Returns whether res is a zero.
-    predicted = mzv.classify_zero(res.index.s, res.index.field.pp)
-    if res.value.is_zero:
-        if predicted != mzv.TRIVIAL_ZERO or res.classification != mzv.TRIVIAL_ZERO:
-            raise CheckFailure(f"zero not predicted trivial at q={q} s={res.index.s}")
-        return True
-    if predicted != mzv.NONZERO or res.classification != mzv.NONZERO:
-        raise CheckFailure(f"nonzero value predicted zero at q={q} s={res.index.s}")
-    return False
-
-
-def _check_valuation(res: mzv.ZetaResult, q: int) -> None:
-    expected = mzv.zeta_valuation(res.index.s, res.index.field.pp)
-    if res.valuation != expected:
-        raise CheckFailure(
-            f"valuation mismatch q={q} s={res.index.s}: "
-            f"{res.valuation} vs {expected}"
-        )
-
-
 def _negative_sweep_pass(
     qs: Sequence[int], depths: Sequence[int], smin: int
 ) -> dict[str, tuple[bool, str]]:
-    """One sweep_negative pass per (q, depth) feeding both
+    """One ``sweep_rows`` pass per (q, depth) feeding both
     trivial-zero-equivalence and valuation-additivity.
 
-    Each check keeps its own counters and first failure, as if it swept
-    alone, and the pass ends early only once both have failed.  Returns
-    (passed, detail) per check name.
+    Both expectations read only a grid row's head (the valuation's i = r
+    term is nu(0, s_r) = 0), so ``classify_zero`` runs once per row and
+    ``zeta_valuation`` once per nontrivial row; every tuple's canonical
+    packed value is then compared with them.  Each check keeps its own
+    counters and first failing tuple, as if it swept alone, and the pass
+    ends early only once both have failed.  Returns (passed, detail) per
+    check name.
     """
     tuples = zeros = checked = 0
     failures: dict[str, str] = {}
-
-    def results():
-        for q in qs:
-            field = field_from_q(q)
-            for depth in depths:
-                for res in mzv.sweep_negative(field, depth, smin):
-                    yield q, res
-
+    rows = (
+        (field, *row)
+        for field, depth in itertools.product(map(field_from_q, qs), depths)
+        for row in mzv.sweep_rows(field, depth, smin)
+    )
     try:
-        for q, res in results():
-            if _TRIVIAL not in failures:
-                try:
-                    zeros += _check_trivial_zero(res, q)
-                    tuples += 1
-                except _CHECK_ERRORS as exc:
-                    failures[_TRIVIAL] = str(exc)
-            if _VALUATION not in failures and not res.value.is_zero:
-                try:
-                    _check_valuation(res, q)
-                    checked += 1
-                except _CHECK_ERRORS as exc:
-                    failures[_VALUATION] = str(exc)
+        for field, head, tails, row in rows:
+            predicted = mzv.classify_zero(head + (tails[0],), field.pp)
+            expected = None
+            valuations = canonical_valuations(field, [n for n, _ in row])
+            for x, (n, cls), v in zip(tails, row, valuations):
+                if _TRIVIAL not in failures:
+                    if predicted == cls == (mzv.NONZERO if n else mzv.TRIVIAL_ZERO):
+                        tuples += 1
+                        zeros += not n
+                    else:
+                        what = "nonzero value predicted zero" if n else "zero not predicted trivial"
+                        failures[_TRIVIAL] = f"{what} at q={field.pp.q} s={head + (x,)}"
+                if n and predicted == mzv.NONZERO and _VALUATION not in failures:
+                    try:
+                        if expected is None:
+                            expected = mzv.zeta_valuation(head + (x,), field.pp)
+                        if v != expected:
+                            raise CheckFailure(
+                                f"valuation mismatch q={field.pp.q} s={head + (x,)}: "
+                                f"{v} vs {expected}"
+                            )
+                        checked += 1
+                    except _CHECK_ERRORS as exc:
+                        failures[_VALUATION] = str(exc)
             if len(failures) == 2:
                 break
     except _CHECK_ERRORS as exc:
@@ -960,6 +950,11 @@ def _negative_sweep_pass(
         _VALUATION: f"{checked} nonzero tuples match the additive valuation",
     }
     return {n: (n not in failures, failures.get(n, d)) for n, d in details.items()}
+
+
+def _check_depths(depths: Sequence[int]) -> None:
+    if any(d < 2 for d in depths):
+        raise ValueError("mzv depths must be >= 2 (depth-one-parity covers depth 1)")
 
 
 def _replay(outcome: tuple[bool, str]) -> str:
@@ -975,6 +970,8 @@ def run_mzv_suite(
     smin: int = -60,
     goss_kmax: int = 200,
 ) -> list[CheckResult]:
+    """The multizeta checks; raises ValueError for a depth below 2."""
+    _check_depths(depths)
     results = []
 
     def mixed_sign_example() -> str:
@@ -1081,6 +1078,7 @@ def run_suites(suite: str = "all", **overrides) -> list[CheckResult]:
         kw = {k: v for k, v in overrides.items() if k in names and v is not None}
         return fn(**kw)
 
+    _check_depths(overrides.get("depths") or ())
     out: list[CheckResult] = []
     if suite in ("digits", "all"):
         out += pick(run_digit_suite, "qs", "nmax")

@@ -159,24 +159,39 @@ def naive_poly_text(codes, p, f):
     return "+".join(terms)
 
 
+def _decode(c, p, f):
+    out = []
+    for _ in range(f):
+        c, r = divmod(c, p)
+        out.append(r)
+    return tuple(out)
+
+
+def _encode(coords, p):
+    code = 0
+    for c in reversed(coords):
+        code = code * p + c
+    return code
+
+
+def naive_poly_eval(codes, x, field):
+    """The code of the polynomial with coefficient codes (low degree first)
+    at the element with code x, by Horner's rule in independent coordinate
+    arithmetic (no field tables)."""
+    p, f = field.pp.p, field.pp.f
+    modulus = list(field.modulus)
+    acc = (0,) * f
+    for c in reversed(codes):
+        acc = fp_poly_mulmod(acc, _decode(x, p, f), modulus, p)
+        acc = tuple((u + v) % p for u, v in zip(acc, _decode(c, p, f)))
+    return _encode(acc, p)
+
+
 def naive_poly_mul_codes(a_codes, b_codes, field):
     """Schoolbook product over coefficient codes using independent
     coordinate arithmetic (no field tables)."""
     p, f = field.pp.p, field.pp.f
     modulus = list(field.modulus)
-
-    def decode(c):
-        out = []
-        for _ in range(f):
-            c, r = divmod(c, p)
-            out.append(r)
-        return tuple(out)
-
-    def encode(coords):
-        code = 0
-        for c in reversed(coords):
-            code = code * p + c
-        return code
 
     if not a_codes or not b_codes:
         return ()
@@ -184,15 +199,15 @@ def naive_poly_mul_codes(a_codes, b_codes, field):
     for i, x in enumerate(a_codes):
         if not x:
             continue
-        dx = decode(x)
+        dx = _decode(x, p, f)
         for j, y in enumerate(b_codes):
             if not y:
                 continue
-            prod = fp_poly_mulmod(dx, decode(y), modulus, p)
+            prod = fp_poly_mulmod(dx, _decode(y, p, f), modulus, p)
             out[i + j] = tuple(
                 (u + v) % p for u, v in zip(out[i + j], prod)
             )
-    codes = [encode(c) for c in out]
+    codes = [_encode(c, p) for c in out]
     while codes and codes[-1] == 0:
         codes.pop()
     return tuple(codes)

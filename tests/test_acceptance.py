@@ -143,6 +143,11 @@ def test_criterion_07_negative_sweep(mzv_suite):
     results, elapsed = mzv_suite
     r1 = _named(results, "trivial-zero-equivalence")
     r2 = _named(results, "valuation-additivity")
+    assert r1.detail == (
+        "878400 tuples evaluated exactly, 531360 zeros, "
+        "all zeros trivial, zero mismatch errors"
+    )
+    assert r2.detail == "347040 nonzero tuples match the additive valuation"
     ok = r1.passed and r2.passed and elapsed < 600_000
     _report(
         7,

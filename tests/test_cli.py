@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from fqzeta import cli, field_from_q, sweep_negative, zeta_negative
+from fqzeta import cli, field_from_q, sweep_negative, verify, zeta_negative
 from fqzeta.cli import main
 
 
@@ -413,6 +413,21 @@ class TestVerifyCommand:
         assert code == 0
         assert "PASS depth-one-parity" in out
         assert "checks passed" in out
+
+    @pytest.mark.parametrize("suite", ["mzv", "all"])
+    def test_depth_below_two_is_usage_error(self, capsys, monkeypatch, suite):
+        # depth 1 belongs to depth-one-parity; no suite may start
+        def refused(**kwargs):
+            raise AssertionError("a suite ran")
+
+        for name in ("run_digit_suite", "run_mzv_suite"):
+            monkeypatch.setattr(verify, name, refused)
+        code, out, err = run(capsys, "verify", "--suite", suite, "--depths", "1,2")
+        assert (code, out) == (1, "")
+        assert err == (
+            "fqzeta: error: mzv depths must be >= 2 "
+            "(depth-one-parity covers depth 1)\n"
+        )
 
     def test_digits_suite(self, capsys):
         code, out, _ = run(

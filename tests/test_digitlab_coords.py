@@ -13,6 +13,7 @@ import pytest
 
 from fqzeta.digitlab import (
     ClassVector,
+    FracVector,
     PrimePower,
     capacity_equals,
     capacity_exceeds,
@@ -75,4 +76,4 @@ def test_coordinates_agree_with_the_inverse_shift_map(q):
     pp = PrimePower.from_q(q)
     for entries in product(range(2 * pp.p + 1), repeat=pp.f):
         v = ClassVector(pp, entries)
-        assert digit_sum_coords(v) == shift_difference_inv(v.as_fractions()).entries
+        assert digit_sum_coords(v) == shift_difference_inv(FracVector(pp, entries)).entries

@@ -1,5 +1,6 @@
 """The mzv suite's shared sweep: one pass, two independently reported checks."""
 
+import itertools
 from collections import Counter
 
 import pytest
@@ -27,54 +28,137 @@ def test_reference_run_passes(reference):
     )
 
 
+def _fails_alone(got, reference, name, detail):
+    # name fails with exactly detail; every other check reads as in reference
+    assert got[name] == (False, detail)
+    assert {k: v for k, v in got.items() if k != name} == {
+        k: v for k, v in reference.items() if k != name
+    }
+
+
 def test_one_sweep_per_field_and_depth(monkeypatch):
     calls = Counter()
-    sweep = mzv.sweep_negative
+    sweep = mzv.sweep_rows
 
     def counting(field, depth, *args, **kwargs):
         calls[field.pp.q, depth] += 1
         return sweep(field, depth, *args, **kwargs)
 
-    monkeypatch.setattr(mzv, "sweep_negative", counting)
+    monkeypatch.setattr(mzv, "sweep_rows", counting)
     verify.run_mzv_suite(**SMALL)
-    assert calls == {(q, d): 1 for q in SMALL["qs"] for d in SMALL["depths"]}
+    assert {key: n for key, n in calls.items() if key[1] >= 2} == {
+        (q, d): 1 for q in SMALL["qs"] for d in SMALL["depths"]
+    }
+
+
+def test_row_expectations_once_per_head(monkeypatch, reference):
+    # classify_zero once per grid row, zeta_valuation once per nontrivial row
+    classified, valued = Counter(), Counter()
+    classify, valuation = mzv.classify_zero, mzv.zeta_valuation
+    nontrivial = set()
+
+    def counting_classify(s, q):
+        key = q.q, tuple(s[:-1])
+        classified[key] += 1
+        got = classify(s, q)
+        if got == mzv.NONZERO:
+            nontrivial.add(key)
+        return got
+
+    def counting_valuation(s, q):
+        valued[q.q, tuple(s[:-1])] += 1
+        return valuation(s, q)
+
+    monkeypatch.setattr(mzv, "classify_zero", counting_classify)
+    monkeypatch.setattr(mzv, "zeta_valuation", counting_valuation)
+    assert _by_name(verify.run_mzv_suite(**SMALL)) == reference
+    entries = range(SMALL["smin"], 0)
+    heads = {
+        (q, head)
+        for q in SMALL["qs"]
+        for d in SMALL["depths"]
+        for head in itertools.product(entries, repeat=d - 1)
+    }
+    assert classified == {key: 1 for key in heads}
+    assert valued == {key: 1 for key in nontrivial}
+    assert 0 < len(nontrivial) < len(heads)
 
 
 def test_valuation_failure_is_reported_alone(monkeypatch, reference):
     valuation = mzv.zeta_valuation
 
-    def wrong_on_one(s, q):
+    def wrong_on_one_head(s, q):
         v = valuation(s, q)
-        return v + 1 if (q.q, tuple(s)) == (3, (-2, -2)) else v
+        return v + 1 if (q.q, tuple(s[:-1])) == (3, (-2,)) else v
 
-    monkeypatch.setattr(mzv, "zeta_valuation", wrong_on_one)
+    monkeypatch.setattr(mzv, "zeta_valuation", wrong_on_one_head)
     got = _by_name(verify.run_mzv_suite(**SMALL))
-    assert got["valuation-additivity"] == (
-        False,
-        "valuation mismatch q=3 s=(-2, -2): 0 vs 1",
+    # the row's first tuple is the first to disagree
+    _fails_alone(
+        got, reference, "valuation-additivity",
+        "valuation mismatch q=3 s=(-2, -4): 0 vs 1",
     )
-    assert {k: v for k, v in got.items() if k != "valuation-additivity"} == {
-        k: v for k, v in reference.items() if k != "valuation-additivity"
-    }
 
 
 def test_trivial_zero_failure_is_reported_alone(monkeypatch, reference):
     classify = mzv.classify_zero
 
-    def wrong_on_one(s, q):
-        if (q.q, tuple(s)) == (2, (-1, -3, -2)):
+    def wrong_on_one_head(s, q):
+        if (q.q, tuple(s[:-1])) == (2, (-1, -3)):
             return mzv.NONZERO
         return classify(s, q)
 
-    monkeypatch.setattr(mzv, "classify_zero", wrong_on_one)
+    monkeypatch.setattr(mzv, "classify_zero", wrong_on_one_head)
     got = _by_name(verify.run_mzv_suite(**SMALL))
-    assert got["trivial-zero-equivalence"] == (
-        False,
-        "zero not predicted trivial at q=2 s=(-1, -3, -2)",
+    _fails_alone(
+        got, reference, "trivial-zero-equivalence",
+        "zero not predicted trivial at q=2 s=(-1, -3, -4)",
     )
-    assert {k: v for k, v in got.items() if k != "trivial-zero-equivalence"} == {
-        k: v for k, v in reference.items() if k != "trivial-zero-equivalence"
-    }
+
+
+def _changed_at(monkeypatch, q, s, change):
+    # engine rows as computed, but with change applied to the packed value
+    # of the one tuple s of field q, after the engine's own check
+    row = mzv._NegativeEngine.row
+
+    def changed(engine, head, tails):
+        got = row(engine, head, tails)
+        if engine.field.pp.q == q and head == s[:-1]:
+            got = [
+                (change(engine.field, n) if x == s[-1] else n, c)
+                for x, (n, c) in zip(tails, got)
+            ]
+        return got
+
+    monkeypatch.setattr(mzv._NegativeEngine, "row", changed)
+
+
+def test_zero_made_nonzero_fails_trivial_zero_alone(monkeypatch, reference):
+    _changed_at(monkeypatch, 2, (-1, -3, -2), lambda field, n: 1)
+    got = _by_name(verify.run_mzv_suite(**SMALL))
+    _fails_alone(
+        got, reference, "trivial-zero-equivalence",
+        "nonzero value predicted zero at q=2 s=(-1, -3, -2)",
+    )
+
+
+def test_value_shifted_one_slot_fails_valuation_alone(monkeypatch, reference):
+    # t * zeta(-2, -2) at q = 3: still nonzero, valuation 1 instead of 0
+    _changed_at(monkeypatch, 3, (-2, -2), lambda field, n: n << field._slot_bits)
+    got = _by_name(verify.run_mzv_suite(**SMALL))
+    _fails_alone(
+        got, reference, "valuation-additivity",
+        "valuation mismatch q=3 s=(-2, -2): 1 vs 0",
+    )
+
+
+def test_depth_below_two_is_refused():
+    # depth 1 belongs to depth-one-parity; no check runs
+    for depths in ((1, 2), (0,), (-1, 3)):
+        with pytest.raises(ValueError, match="depths must be >= 2"):
+            verify.run_mzv_suite(**{**SMALL, "depths": depths})
+        with pytest.raises(ValueError, match="depths must be >= 2"):
+            verify.run_suites("digits", depths=depths)
 
 
 def test_evaluation_error_fails_both_checks(monkeypatch):
