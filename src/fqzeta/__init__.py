@@ -64,8 +64,6 @@ from .mzv import (
     ZetaIndex,
     ZetaResult,
     classify_zero,
-    goss_vanishing,
-    sweep_negative,
     zeta_mixed,
     zeta_negative,
     zeta_valuation,

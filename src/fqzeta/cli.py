@@ -273,9 +273,9 @@ def _sweep_records(field: FieldSpec, rows) -> Iterator[dict]:
 
 def _sweep_task(task: tuple) -> list:
     """The output of one sweep, run in a worker process."""
-    writer, q, depth, smin, smax, prefix = task
+    writer, q, ranges = task
     field = field_from_q(q)
-    return list(writer(field, mzv.sweep_rows(field, depth, smin, smax, prefix)))
+    return list(writer(field, mzv.sweep_rows(field, ranges)))
 
 
 def _cmd_sweep(args) -> int:
@@ -288,20 +288,18 @@ def _cmd_sweep(args) -> int:
         raise PreconditionError("need --smin <= --smax <= -1")
     if args.jobs < 1:
         raise PreconditionError("--jobs must be at least 1")
+    if args.depth < 1:
+        raise PreconditionError("index tuple must have depth >= 1")
     fields = {q: field_from_q(q) for q in sorted(qs)}
-    grid = (args.depth, args.smin, args.smax)
+    box = [range(args.smin, args.smax + 1)] * args.depth
     # each sweep has its own engine and its writer's memo of formatted values
     writer = _sweep_records if args.format == "json" else _sweep_csv
     if args.jobs == 1:
         # one sweep per q, formatted as it is evaluated
-        chunks = [writer(field, mzv.sweep_rows(field, *grid)) for field in fields.values()]
+        chunks = [writer(field, mzv.sweep_rows(field, box)) for field in fields.values()]
     else:
         # one sweep per (q, s_1), evaluated and formatted in a worker
-        tasks = [
-            (writer, q, *grid, (s1,))
-            for q in fields
-            for s1 in range(args.smin, args.smax + 1)
-        ]
+        tasks = [(writer, q, [(s1,), *box[1:]]) for q in fields for s1 in box[0]]
         workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_sweep_task, tasks, chunksize=4))

@@ -17,10 +17,10 @@ from ``digitlab._threshold_floor``.  Evaluation therefore goes a grid row
 at a time: one engine call takes the tuples head + (x,) for a list of
 last entries x, decides the row's classification once, and still
 compares every tuple's exact value with it, raising for the first tuple
-that disagrees.  A single tuple is a one-entry row; a sweep, with s_r
-fastest, is one row per head, and ``sweep_rows`` hands those rows out
-as they are, leaving the per-tuple form to ``sweep_negative``.  A
-row's sums, over d of S(d, s_r) * T(d + 1) with T the suffix sums of its
+that disagrees.  ``sweep_rows`` takes one range of entries per position
+and hands out one row per head, with s_r fastest; a single tuple is a
+sweep of one-entry ranges, and so a one-entry row.
+A row's sums, over d of S(d, s_r) * T(d + 1) with T the suffix sums of its
 head, are plain Python ints folded once per row, and so are the suffix
 tables; ``fqpoly.products_fit`` decides when that is exact, and a row or
 table it refuses is summed with ``PackedSum`` instead.
@@ -61,7 +61,6 @@ from .powersum import (
 __all__ = [
     "NONZERO",
     "TRIVIAL_ZERO",
-    "NONTRIVIAL_ZERO",
     "NOT_APPLICABLE",
     "ZetaIndex",
     "ZetaResult",
@@ -69,15 +68,12 @@ __all__ = [
     "classify_zero",
     "zeta_valuation",
     "zeta_mixed",
-    "goss_vanishing",
-    "sweep_negative",
     "sweep_rows",
     "zeta_record",
 ]
 
 NONZERO = "nonzero"
 TRIVIAL_ZERO = "trivial_zero"
-NONTRIVIAL_ZERO = "nontrivial_zero"
 NOT_APPLICABLE = "not_applicable"
 
 MIXED_TERM_LIMIT = 100_000
@@ -358,75 +354,44 @@ def zeta_negative(s: Union[tuple[int, ...], list[int]], field: FieldSpec) -> Zet
     chains with each degree capped by its vanishing threshold (outer
     degrees descend first in the fixed summation order).  The result is
     classified against the structural criterion; disagreement raises.
-    This is a one-row call of the sweep engine.
+    This is the one-row sweep of one-entry ranges.
     """
     idx = ZetaIndex(field, tuple(s))
     if not idx.all_negative:
         raise PreconditionError("zeta_negative needs all-negative entries")
-    engine = _NegativeEngine(field, {-x for x in idx.s})
-    [(n, cls)] = engine.row(idx.s[:-1], idx.s[-1:])
+    [(_, _, [(n, cls)])] = sweep_rows(field, [(x,) for x in idx.s])
     return ZetaResult(idx, canonical_polys(field, [n])[0], cls, True)
 
 
-def _grid_rows(
-    depth: int, smin: int, smax: int, prefix: tuple[int, ...]
-) -> tuple[Iterable[tuple[int, ...]], Sequence[int]]:
-    """The rows of the sweep over prefix + [smin, smax]^(depth - len(prefix))
-    in lexicographic order, as their heads and their common last entries."""
-    if smin > smax or smax > -1:
-        raise ValueError("need smin <= smax <= -1")
-    if depth < 1:
-        raise ValueError("index tuple must have depth >= 1")
-    if len(prefix) > depth or any(not smin <= x <= smax for x in prefix):
-        raise ValueError("prefix needs at most depth entries in [smin, smax]")
-    if len(prefix) == depth:
-        return [prefix[:-1]], prefix[-1:]
-    entries = range(smin, smax + 1)
-    mids = itertools.product(entries, repeat=depth - len(prefix) - 1)
-    return (prefix + mid for mid in mids), entries
-
-
 def sweep_rows(
-    field: FieldSpec,
-    depth: int,
-    smin: int,
-    smax: int = -1,
-    prefix: tuple[int, ...] = (),
+    field: FieldSpec, ranges: Sequence[Sequence[int]]
 ) -> Iterator[tuple[tuple[int, ...], Sequence[int], list[tuple[int, str]]]]:
-    """All-negative sweep over the tuples prefix + tail, with tail running
-    over [smin, smax]^(depth - len(prefix)), one grid row at a time.  The
-    empty prefix sweeps the whole grid [smin, smax]^depth.
+    """All-negative sweep over the tuples whose i-th entry runs over
+    ranges[i], one grid row at a time.  The box [smin, smax]^depth is
+    ``[range(smin, smax + 1)] * depth``; a leading run of one-entry ranges
+    fixes a prefix, and a single tuple is a sweep of one-entry ranges.
 
-    Yields (head, tails, row) per head in lexicographic order: the row is
-    the tuples head + (x,) for x in tails, and ``row`` holds the canonical
-    packed zeta value and classification of each, in the order of tails.
-    Every row of one sweep has the same tails.  One engine serves the
-    sweep; it classifies each row once but compares every tuple's value
-    with that classification, raising VanishingMismatchError naming the
-    first tuple that disagrees.
+    Yields (head, tails, row) for each head of
+    ``itertools.product(*ranges[:-1])``, in that lexicographic order, with
+    tails = ranges[-1]: the row is the tuples head + (x,) for x in tails,
+    and ``row`` holds the canonical packed zeta value and classification
+    of each, in the order of tails.  One engine, covering the exponents of
+    every range, serves the sweep; it classifies each row once but
+    compares every tuple's value with that classification, raising
+    VanishingMismatchError naming the first tuple that disagrees.  Raises
+    ValueError, at the call, for no ranges, an empty range, or an entry
+    above -1.
     """
-    heads, tails = _grid_rows(depth, smin, smax, tuple(prefix))
-    engine = _NegativeEngine(field, range(-smax, -smin + 1))
-    for head in heads:
-        yield head, tails, engine.row(head, tails)
-
-
-def sweep_negative(
-    field: FieldSpec,
-    depth: int,
-    smin: int,
-    smax: int = -1,
-    prefix: tuple[int, ...] = (),
-) -> Iterator[ZetaResult]:
-    """The sweep of ``sweep_rows`` with one exact ZetaResult per tuple, in
-    lexicographic order.  Equal values share one Poly, and a row's new
-    values are unpacked in one ``canonical_polys`` batch."""
-    polys: dict[int, Poly] = {}
-    for head, tails, row in sweep_rows(field, depth, smin, smax, prefix):
-        new = [n for n in dict.fromkeys(n for n, _ in row) if n not in polys]
-        polys.update(zip(new, canonical_polys(field, new)))
-        for x, (n, cls) in zip(tails, row):
-            yield ZetaResult(ZetaIndex(field, head + (x,)), polys[n], cls, True)
+    if not ranges:
+        raise ValueError("index tuple must have depth >= 1")
+    if not all(ranges):
+        raise ValueError("every position needs at least one entry")
+    if any(x > -1 for entries in ranges for x in entries):
+        raise ValueError("sweep entries must be <= -1")
+    engine = _NegativeEngine(field, {-x for entries in ranges for x in entries})
+    tails = ranges[-1]
+    heads = itertools.product(*ranges[:-1])
+    return ((head, tails, engine.row(head, tails)) for head in heads)
 
 
 def zeta_mixed(
@@ -490,18 +455,3 @@ def zeta_mixed(
     rec(0, None, RationalFn(Poly.one(field)))
     return ZetaResult(idx, total, NOT_APPLICABLE, exact)
 
-
-def goss_vanishing(s: int, field: FieldSpec) -> bool:
-    """Depth-one vanishing test: zeta(s) for s < 0 vanishes exactly when
-    s is q-even (Goss).  Evaluates exactly and raises on any mismatch
-    with the parity criterion; returns whether the value is zero."""
-    if s >= 0:
-        raise PreconditionError("goss_vanishing needs s < 0")
-    res = zeta_negative((s,), field)
-    is_zero = res.value.is_zero
-    expected = field.pp.is_q_even(s)
-    if is_zero != expected:
-        raise VanishingMismatchError(
-            f"depth-1 zeta({s}) zero={is_zero} but q-even={expected}"
-        )
-    return is_zero

@@ -911,7 +911,7 @@ def _negative_sweep_pass(
     rows = (
         (field, *row)
         for field, depth in itertools.product(map(field_from_q, qs), depths)
-        for row in mzv.sweep_rows(field, depth, smin)
+        for row in mzv.sweep_rows(field, [range(smin, 0)] * depth)
     )
     try:
         for field, head, tails, row in rows:
@@ -957,6 +957,15 @@ def _check_depths(depths: Sequence[int]) -> None:
         raise ValueError("mzv depths must be >= 2 (depth-one-parity covers depth 1)")
 
 
+def _check_mzv_ranges(smin: int = -1, goss_kmax: int = 1) -> None:
+    # a range that checks nothing, or entries the sweep refuses, is a usage
+    # error before any suite runs, as a depth below 2 is
+    if smin > -1:
+        raise ValueError("mzv smin must be <= -1")
+    if goss_kmax < 1:
+        raise ValueError("mzv goss_kmax must be >= 1")
+
+
 def _replay(outcome: tuple[bool, str]) -> str:
     passed, detail = outcome
     if not passed:
@@ -970,8 +979,10 @@ def run_mzv_suite(
     smin: int = -60,
     goss_kmax: int = 200,
 ) -> list[CheckResult]:
-    """The multizeta checks; raises ValueError for a depth below 2."""
+    """The multizeta checks; raises ValueError for a depth below 2, an smin
+    above -1 or a goss_kmax below 1."""
     _check_depths(depths)
+    _check_mzv_ranges(smin, goss_kmax)
     results = []
 
     def mixed_sign_example() -> str:
@@ -1010,11 +1021,10 @@ def run_mzv_suite(
 
     def depth_one_parity() -> str:
         # Goss: zeta(s) for s < 0 vanishes exactly when -s is q-even; one
-        # depth-1 sweep per field (none for an empty range) shares its
-        # engine's power sums
-        for q in qs if goss_kmax >= 1 else ():
+        # depth-1 sweep per field shares its engine's power sums
+        for q in qs:
             field = field_from_q(q)
-            [(_, tails, row)] = mzv.sweep_rows(field, 1, -goss_kmax)
+            [(_, tails, row)] = mzv.sweep_rows(field, [range(-goss_kmax, 0)])
             for s, (n, _) in reversed(list(zip(tails, row))):
                 if (not n) != field.pp.is_q_even(-s):
                     raise CheckFailure(f"parity mismatch q={q} s={s}")
@@ -1072,13 +1082,17 @@ SUITE_NAMES = ("digits", "compose", "powersum", "mzv", "all")
 
 def run_suites(suite: str = "all", **overrides) -> list[CheckResult]:
     """Run one named suite (or all), forwarding range overrides that the
-    individual suites accept."""
+    individual suites accept; a field or depth listed twice is checked
+    once, in first-seen order."""
 
     def pick(fn, *names):
         kw = {k: v for k, v in overrides.items() if k in names and v is not None}
+        kw.update({k: tuple(dict.fromkeys(kw[k])) for k in ("qs", "depths") if k in kw})
         return fn(**kw)
 
     _check_depths(overrides.get("depths") or ())
+    if suite in ("mzv", "all"):
+        pick(_check_mzv_ranges, "smin", "goss_kmax")
     out: list[CheckResult] = []
     if suite in ("digits", "all"):
         out += pick(run_digit_suite, "qs", "nmax")

@@ -1,6 +1,7 @@
 import pytest
 
-from fqzeta import PrimePower, make_field
+from fqzeta import PrimePower, make_field, mzv
+from fqzeta.fqpoly import canonical_polys
 
 
 @pytest.fixture(scope="session")
@@ -51,3 +52,18 @@ def F8():
 @pytest.fixture(scope="session")
 def F9():
     return make_field(3, 2)
+
+
+@pytest.fixture(scope="session")
+def sweep_tuples():
+    """(s, value, classification) of each tuple of ``mzv.sweep_rows(field,
+    ranges)`` in sweep order, each row's values read by one
+    ``canonical_polys`` batch."""
+
+    def tuples(field, ranges):
+        for head, tails, row in mzv.sweep_rows(field, ranges):
+            polys = canonical_polys(field, [n for n, _ in row])
+            for x, (_, cls), value in zip(tails, row, polys):
+                yield head + (x,), value, cls
+
+    return tuples

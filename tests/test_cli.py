@@ -1,10 +1,11 @@
 import csv
 import io
 import json
+import re
 
 import pytest
 
-from fqzeta import cli, field_from_q, sweep_negative, verify, zeta_negative
+from fqzeta import cli, field_from_q, verify, zeta_negative
 from fqzeta.cli import main
 
 
@@ -304,7 +305,7 @@ class TestSweepCommand:
             assert rec == zeta_negative(rec["s"], fields[rec["q"]]).to_json_dict()
 
     def test_depth_one_jobs(self, capsys):
-        # each --jobs task is then a full-length prefix
+        # each --jobs task is then a single one-entry range
         argv = ("sweep", "--q", "2,9", "--depth", "1", "--smin", "-20")
         _, one, _ = run(capsys, *argv)
         _, two, _ = run(capsys, *argv, "--jobs", "2")
@@ -318,6 +319,21 @@ class TestSweepCommand:
         )
         assert (code, out) == (1, "")
         assert "--jobs" in err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_depth_below_one_is_usage_error(self, capsys, monkeypatch, jobs):
+        # refused before any sweep runs; --jobs 2 would otherwise sweep
+        # depth 1 from one-entry first ranges
+        def refused(*args, **kwargs):
+            raise AssertionError("a sweep started")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", refused)
+        monkeypatch.setattr(cli.mzv, "sweep_rows", refused)
+        code, out, err = run(
+            capsys, "sweep", "--q", "3", "--smin", "-2", "--depth", "0", "--jobs", jobs
+        )
+        assert (code, out) == (1, "")
+        assert err == "fqzeta: error: index tuple must have depth >= 1\n"
 
     @pytest.mark.parametrize("jobs, cpus, workers", [(64, 8, 6), (64, 4, 4), (3, 8, 3)])
     def test_jobs_capped(self, capsys, monkeypatch, jobs, cpus, workers):
@@ -350,28 +366,29 @@ class TestSweepCommand:
 
 class TestSweepReference:
     """The CSV body of `fqzeta sweep` against csv.writer rows built from
-    the per-tuple results of ``sweep_negative``."""
+    the per-tuple polynomials of ``sweep_rows`` read by ``canonical_polys``."""
 
     QS = (2, 3, 4, 8, 9)
     SMIN = -6
 
-    def reference_body(self, depth):
+    def reference_body(self, sweep_tuples, depth):
         buf = io.StringIO()
         writer = csv.writer(buf)
         for q in self.QS:
             field = field_from_q(q)
             pp = field.pp
-            for res in sweep_negative(field, depth, self.SMIN):
-                s = res.index.s
+            for s, value, cls in sweep_tuples(field, [range(self.SMIN, 0)] * depth):
                 writer.writerow((
                     pp.q, pp.p, pp.f, ",".join(map(str, s)), len(s),
-                    res.value.text(), res.valuation, res.classification, res.exact,
+                    value.text(), value.t_valuation, cls, True,
                 ))
         return buf.getvalue()
 
     @pytest.mark.parametrize("jobs", [1, 3])
     @pytest.mark.parametrize("depth", [1, 2, 3])
-    def test_csv_body_matches_results(self, capsys, monkeypatch, depth, jobs):
+    def test_csv_body_matches_results(
+        self, capsys, monkeypatch, sweep_tuples, depth, jobs
+    ):
         # a stand-in pool maps in this process, so no worker process starts
         sizes = []
 
@@ -399,7 +416,7 @@ class TestSweepReference:
         assert sizes == ([] if jobs == 1 else [jobs])
         header = "q,p,f,s_tuple,depth,value,valuation,classification,exact\r\n"
         body = out.split(header, 1)[1]
-        assert body == self.reference_body(depth)
+        assert body == self.reference_body(sweep_tuples, depth)
         assert body.count("\r\n") == len(self.QS) * (-self.SMIN) ** depth
 
 
@@ -428,6 +445,56 @@ class TestVerifyCommand:
             "fqzeta: error: mzv depths must be >= 2 "
             "(depth-one-parity covers depth 1)\n"
         )
+
+    @pytest.mark.parametrize("suite", ["mzv", "all"])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--smin", "-3", "--goss-kmax", "-5"), "mzv goss_kmax must be >= 1"),
+            (("--smin", "3"), "mzv smin must be <= -1"),
+        ],
+        ids=["goss-kmax", "smin"],
+    )
+    def test_empty_or_positive_range_is_usage_error(
+        self, capsys, monkeypatch, suite, flags, message
+    ):
+        # a parity range that checks nothing, or entries above -1: no suite
+        # may start
+        def refused(**kwargs):
+            raise AssertionError("a suite ran")
+
+        for name in ("run_digit_suite", "run_mzv_suite"):
+            monkeypatch.setattr(verify, name, refused)
+        code, out, err = run(capsys, "verify", "--suite", suite, *flags)
+        assert (code, out) == (1, "")
+        assert err == f"fqzeta: error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, repeated, single, count",
+        [
+            (
+                ("--suite", "mzv", "--smin", "-4", "--goss-kmax", "4"),
+                ("--q", "3,3", "--depths", "2,2"),
+                ("--q", "3", "--depths", "2"),
+                "16 tuples evaluated exactly, 8 zeros",
+            ),
+            (
+                ("--suite", "powersum", "--dmax", "1", "--kmax", "10"),
+                ("--q", "3,3"),
+                ("--q", "3"),
+                "20 (q, d, s) cells compared",
+            ),
+        ],
+        ids=["mzv", "powersum"],
+    )
+    def test_repeated_fields_and_depths_count_once(
+        self, capsys, argv, repeated, single, count
+    ):
+        code, twice, _ = run(capsys, "verify", *argv, *repeated)
+        _, once, _ = run(capsys, "verify", *argv, *single)
+        assert code == 0
+        assert re.sub(r" \[\d+ ms\]", "", twice) == re.sub(r" \[\d+ ms\]", "", once)
+        assert count in twice
 
     def test_digits_suite(self, capsys):
         code, out, _ = run(

@@ -7,10 +7,8 @@ from fqzeta import (
     ZetaIndex,
     classify_zero,
     field_from_q,
-    goss_vanishing,
     power_sum_bruteforce,
     power_sum_formula,
-    sweep_negative,
     zeta_mixed,
     zeta_negative,
     zeta_valuation,
@@ -80,18 +78,30 @@ class TestNegativeEvaluation:
             zeta_negative((-8, 2), F3)
 
     @pytest.mark.parametrize(
-        "q, depth, smin",
+        "q, ranges",
         [
-            pytest.param(2, 2, -9, id="q2-depth2"),
-            pytest.param(3, 2, -9, id="q3-depth2"),
-            pytest.param(4, 2, -20, id="q4-depth2"),
-            pytest.param(13, 2, -80, id="q13-depth2"),
-            pytest.param(2, 3, -9, id="q2-depth3"),
+            pytest.param(2, [range(-9, 0)] * 2, id="q2-depth2"),
+            pytest.param(3, [range(-9, 0)] * 2, id="q3-depth2"),
+            pytest.param(4, [range(-20, 0)] * 2, id="q4-depth2"),
+            pytest.param(13, [range(-80, 0)] * 2, id="q13-depth2"),
+            pytest.param(2, [range(-9, 0)] * 3, id="q2-depth3"),
+            pytest.param(8, [range(-30, 0)] * 2, id="q8-depth2"),
+            pytest.param(16, [range(-40, -10), range(-6, 0)], id="q16-anchored"),
+            pytest.param(27, [range(-60, -20), range(-8, 0)], id="q27-anchored"),
+            # depth 3 is nontrivial at q = 8 only from -s_1 >= 63
+            pytest.param(
+                8, [range(-72, -62), range(-14, -6), range(-4, 0)], id="q8-depth3"
+            ),
+            # 32-bit limbs; s_1 <= -256 leaves room for two degrees
+            pytest.param(
+                257, [(-256, -300, -512), (-1, -2, -256)], id="q257-chosen"
+            ),
         ],
     )
-    def test_sum_matches_direct_product_sum(self, q, depth, smin):
+    def test_sum_matches_direct_product_sum(self, sweep_tuples, q, ranges):
         # direct nested sum over admissible chains d_1 > ... > d_r >= 0,
-        # each d_i within the threshold of -s_i, of formula-route Polys
+        # each d_i within the threshold of -s_i, of formula-route Polys,
+        # against the sweep's values read by canonical_polys
         import itertools
         import math
         from fqzeta import vanishing_threshold
@@ -108,11 +118,16 @@ class TestNegativeEvaluation:
                 for rest in chains(s[1:], d):
                     yield factor * rest
 
-        for s in itertools.product(range(smin, 0), repeat=depth):
+        swept = list(sweep_tuples(field, ranges))
+        assert [s for s, _, _ in swept] == list(itertools.product(*ranges))
+        nonzero = 0
+        for s, value, _ in swept:
             total = Poly.zero(field)
             for term in chains(s, math.inf):
                 total = total + term
-            assert zeta_negative(s, field).value == total, (q, s)
+            assert value == total, (q, s)
+            nonzero += not total.is_zero
+        assert nonzero, "every case needs a nonzero tuple"
 
 
 class TestClassification:
@@ -198,68 +213,76 @@ class TestMixed:
 
 
 class TestGoss:
-    def test_examples(self, F3):
-        assert goss_vanishing(-2, F3) is True
-        assert goss_vanishing(-1, F3) is False
+    """Depth one vanishes exactly at the q-even exponents (Goss)."""
 
-    def test_q_even_family(self):
+    def test_examples(self, F3):
+        assert zeta_negative((-2,), F3).value.is_zero
+        assert not zeta_negative((-1,), F3).value.is_zero
+
+    def test_q_even_family(self, sweep_tuples):
         for q in (2, 3, 4, 9):
             field = field_from_q(q)
-            assert goss_vanishing(-(q - 1) if q > 2 else -1, field) is True
+            for (s,), value, _ in sweep_tuples(field, [range(-40, 0)]):
+                assert value.is_zero == field.pp.is_q_even(s), (q, s)
 
     def test_rejects_positive(self, F3):
         with pytest.raises(PreconditionError):
-            goss_vanishing(2, F3)
+            zeta_negative((2,), F3)
 
 
 class TestSweep:
-    def test_lexicographic_order_and_results(self, F3):
-        results = list(sweep_negative(F3, 2, -3))
-        tuples = [r.index.s for r in results]
+    def test_lexicographic_order_and_results(self, F3, sweep_tuples):
+        results = list(sweep_tuples(F3, [range(-3, 0)] * 2))
+        tuples = [s for s, _, _ in results]
         assert tuples == sorted(tuples)
         assert len(tuples) == 9
-        one_shot = {s: zeta_negative(s, F3).value for s in tuples}
-        for r in results:
-            assert r.value == one_shot[r.index.s]
+        for s, value, _ in results:
+            assert value == zeta_negative(s, F3).value
 
     @pytest.mark.parametrize(
         "q, depth, smin", [(2, 3, -8), (2, 2, -30), (9, 2, -40)]
     )
-    def test_shared_engine_matches_fresh_evaluations(self, q, depth, smin):
+    def test_shared_engine_matches_fresh_evaluations(
+        self, sweep_tuples, q, depth, smin
+    ):
         # one engine memoizes S(d, -k) for every d the sweep reaches; each
         # tuple evaluated on its own must give the same value
         field = field_from_q(q)
-        results = list(sweep_negative(field, depth, smin))
+        results = list(sweep_tuples(field, [range(smin, 0)] * depth))
         assert len(results) == (-smin) ** depth
-        assert any(not r.value.is_zero for r in results)
-        for r in results:
-            fresh = zeta_negative(r.index.s, field)
-            assert (r.value, r.classification) == (fresh.value, fresh.classification)
+        assert any(not value.is_zero for _, value, _ in results)
+        for s, value, cls in results:
+            fresh = zeta_negative(s, field)
+            assert (value, cls) == (fresh.value, fresh.classification)
 
     @pytest.mark.parametrize("q", [2, 9])
-    def test_prefix_is_a_slice_of_the_full_sweep(self, q):
+    def test_prefix_is_a_slice_of_the_full_sweep(self, sweep_tuples, q):
+        # leading ranges of one entry each fix a prefix of the box
         field = field_from_q(q)
-        smin = -5
-        full = [
-            (r.index.s, r.value, r.classification)
-            for r in sweep_negative(field, 3, smin)
-        ]
+        box = [range(-5, 0)] * 3
+        full = list(sweep_tuples(field, box))
         for prefix in [(), (-3,), (-5, -1), (-2, -4, -1)]:
-            part = [
-                (r.index.s, r.value, r.classification)
-                for r in sweep_negative(field, 3, smin, prefix=prefix)
-            ]
+            ranges = [(x,) for x in prefix] + box[len(prefix):]
+            part = list(sweep_tuples(field, ranges))
             expected = [row for row in full if row[0][: len(prefix)] == prefix]
             assert part == expected
-            assert len(part) == (-smin) ** (3 - len(prefix))
+            assert len(part) == 5 ** (3 - len(prefix))
 
     @pytest.mark.parametrize(
-        "prefix", [(-1, -1, -1), (-6,), (-1, 0), (-2, -7)]
+        "ranges, message",
+        [
+            ([], "depth >= 1"),
+            ([range(-3, 0), ()], "at least one entry"),
+            ([range(-3, 1)], "entries must be <= -1"),
+            ([(-2,), (-1, 3)], "entries must be <= -1"),
+        ],
+        ids=["no-position", "empty-range", "zero-entry", "positive-entry"],
     )
-    def test_prefix_validation(self, F3, prefix):
-        # too long for depth 2, or an entry outside [-5, -1]
-        with pytest.raises(ValueError):
-            list(sweep_negative(F3, 2, -5, prefix=prefix))
+    def test_range_validation(self, F3, ranges, message):
+        # no position, an empty range, or an entry above -1, refused at the
+        # call rather than at the first row
+        with pytest.raises(ValueError, match=message):
+            mzv.sweep_rows(F3, ranges)
 
     def test_readme_example(self):
         assert zeta_negative((-8, -2), field_from_q(9)).classification == NONZERO
@@ -309,7 +332,7 @@ class TestRowMismatch:
 
         monkeypatch.setattr(mzv._NegativeEngine, "values", wrong_on_one)
         with pytest.raises(VanishingMismatchError) as exc:
-            list(sweep_negative(F3, 2, -3))
+            list(mzv.sweep_rows(F3, [range(-3, 0)] * 2))
         assert f"zeta{s} {message}" in str(exc.value)
         assert main(["sweep", "--q", "3", "--depth", "2", "--smin", "-3"]) == 2
         out = capsys.readouterr()

@@ -63,16 +63,17 @@ class TestTrivialCriterion:
         "q, depth, smin",
         [(5, 2, -80), (7, 2, -80), (8, 2, -80), (16, 2, -80), (5, 3, -30)],
     )
-    def test_sweep_agrees_with_classify_and_valuation(self, q, depth, smin):
+    def test_sweep_agrees_with_classify_and_valuation(
+        self, sweep_tuples, q, depth, smin
+    ):
         field = field_from_q(q)
         pp = field.pp
         nonzero = 0
-        for res in mzv.sweep_negative(field, depth, smin):
-            s = res.index.s
-            assert mzv.classify_zero(s, pp) == res.classification, s
-            assert res.value.is_zero == (res.classification == mzv.TRIVIAL_ZERO), s
-            if not res.value.is_zero:
-                assert mzv.zeta_valuation(s, pp) == res.valuation, s
+        for s, value, cls in sweep_tuples(field, [range(smin, 0)] * depth):
+            assert mzv.classify_zero(s, pp) == cls, s
+            assert value.is_zero == (cls == mzv.TRIVIAL_ZERO), s
+            if not value.is_zero:
+                assert mzv.zeta_valuation(s, pp) == value.t_valuation, s
                 nonzero += 1
         assert nonzero > 0
         if (q, depth) == (5, 2):

@@ -40,9 +40,9 @@ def test_one_sweep_per_field_and_depth(monkeypatch):
     calls = Counter()
     sweep = mzv.sweep_rows
 
-    def counting(field, depth, *args, **kwargs):
-        calls[field.pp.q, depth] += 1
-        return sweep(field, depth, *args, **kwargs)
+    def counting(field, ranges):
+        calls[field.pp.q, len(ranges)] += 1
+        return sweep(field, ranges)
 
     monkeypatch.setattr(mzv, "sweep_rows", counting)
     verify.run_mzv_suite(**SMALL)
@@ -161,6 +161,47 @@ def test_depth_below_two_is_refused():
             verify.run_suites("digits", depths=depths)
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (dict(goss_kmax=0), "goss_kmax must be >= 1"),
+        (dict(goss_kmax=-5), "goss_kmax must be >= 1"),
+        (dict(smin=0), "smin must be <= -1"),
+        (dict(smin=3), "smin must be <= -1"),
+    ],
+    ids=["goss-kmax-0", "goss-kmax-negative", "smin-0", "smin-positive"],
+)
+def test_empty_or_positive_range_is_refused(monkeypatch, bad, message):
+    # a parity range that checks nothing, or sweep entries above -1, is
+    # refused before any check or suite runs
+    def refused(*args, **kwargs):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(mzv, "sweep_rows", refused)
+    with pytest.raises(ValueError, match=message):
+        verify.run_mzv_suite(**{**SMALL, **bad})
+    monkeypatch.setattr(verify, "run_digit_suite", refused)
+    for suite in ("mzv", "all"):
+        with pytest.raises(ValueError, match=message):
+            verify.run_suites(suite, **bad)
+
+
+def test_repeated_fields_and_depths_are_checked_once(monkeypatch, reference):
+    # first-seen order; the counts are those of the distinct grid
+    calls = Counter()
+    sweep = mzv.sweep_rows
+
+    def counting(field, ranges):
+        calls[field.pp.q, len(ranges)] += 1
+        return sweep(field, ranges)
+
+    monkeypatch.setattr(mzv, "sweep_rows", counting)
+    got = verify.run_suites("mzv", **{**SMALL, "qs": (3, 2, 3), "depths": (3, 2, 2, 3)})
+    assert _by_name(got) == reference
+    assert list(calls) == [(3, 3), (3, 2), (2, 3), (2, 2), (3, 1), (2, 1)]
+    assert set(calls.values()) == {1}
+
+
 def test_evaluation_error_fails_both_checks(monkeypatch):
     # the sweep evaluates a row of tuples head + (x,) per engine call
     row = mzv._NegativeEngine.row
@@ -182,15 +223,15 @@ def test_parity_sweeps_once_per_field(monkeypatch, reference):
     depths = Counter()
     sweep = mzv.sweep_rows
 
-    def counting(field, depth, *args, **kwargs):
-        depths[field.pp.q, depth] += 1
-        return sweep(field, depth, *args, **kwargs)
+    def counting(field, ranges):
+        depths[field.pp.q, len(ranges)] += 1
+        return sweep(field, ranges)
 
     def refused(s, field):
-        raise AssertionError("goss_vanishing builds an engine per exponent")
+        raise AssertionError("zeta_negative builds an engine per exponent")
 
     monkeypatch.setattr(mzv, "sweep_rows", counting)
-    monkeypatch.setattr(mzv, "goss_vanishing", refused)
+    monkeypatch.setattr(mzv, "zeta_negative", refused)
     got = _by_name(verify.run_mzv_suite(**SMALL))
     assert got == reference
     assert {key: n for key, n in depths.items() if key[1] == 1} == {
