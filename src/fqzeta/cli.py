@@ -93,6 +93,8 @@ def _header_lines(fields: Sequence[FieldSpec], banner: bool) -> list[str]:
 
 def _cmd_powersum(args) -> int:
     field = _resolve_field(args)
+    if args.max_terms < 0:
+        raise PreconditionError("--max-terms must be non-negative")
     results = []
     methods = ("formula", "bruteforce") if args.method == "both" else (args.method,)
     for method in methods:

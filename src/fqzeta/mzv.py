@@ -205,11 +205,12 @@ class _NegativeEngine:
     """Exact all-negative evaluation, one grid row at a time.
 
     A row is the tuples head + (x,) for x in a list of last entries.  The
-    engine stores packed power-sum polynomials keyed by (d, k), which is
-    also the memo of the power-sum recurrence, the column S(0, k),
-    S(1, k), ... per exponent k that the row sums read, and, per head
-    length, the suffix-sum table of the last head seen, so that a
-    lexicographic sweep reuses all shared heads.  Loop bounds come from
+    engine keeps the column S(0, k), S(1, k), ... per exponent k that the
+    row sums read, each S(d, k) taken from ``powersum.power_sum_packed``
+    and so from the field's bounded store shared with
+    ``power_sum_formula`` and every other engine, and, per head length,
+    the suffix-sum table of the last head seen, so that a lexicographic
+    sweep reuses all shared heads.  Loop bounds come from
     ``floors``, floor(L(k)) for each exponent k of the grid, read once from
     ``digitlab._threshold_floor``; a row's classification is the one
     head-level ``_trivial_criterion``, decided once per row.
@@ -227,16 +228,9 @@ class _NegativeEngine:
     def __init__(self, field: FieldSpec, ks: Iterable[int]):
         self.field = field
         self.floors = {k: _threshold_floor(k, field.pp) for k in ks}
-        self._s_packed: dict[tuple[int, int], int] = {}
         self._columns: dict[int, list[int]] = {k: [] for k in self.floors}
         self._levels: dict[int, tuple[tuple[int, ...], list[int]]] = {}
         self._ones = [1] * (max(self.floors.values()) + 1)
-
-    def s_packed(self, d: int, k: int) -> int:
-        cached = self._s_packed.get((d, k))
-        if cached is None:
-            cached = power_sum_packed(d, k, self.field, self._s_packed)
-        return cached
 
     def column(self, k: int, factors: Sequence[int]) -> list[int]:
         """S(d, k), canonical packed, for d = 0 .. n - 1 at least: n - 1 is
@@ -248,7 +242,7 @@ class _NegativeEngine:
             n -= 1
         col = self._columns[k]
         if len(col) < n:
-            col.extend(self.s_packed(d, k) for d in range(len(col), n))
+            col.extend(power_sum_packed(d, k, self.field) for d in range(len(col), n))
         return col
 
     def suffix_table(self, head: tuple[int, ...]) -> list[int]:

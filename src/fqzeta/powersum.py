@@ -14,12 +14,16 @@ compositions (m_0, ..., m_d) of -s with q-even positive interior, each
 contributing the multinomial coefficient of -s over the parts mod p
 times t to the weight d*m_0 + (d-1)*m_1 + ... + m_{d-1}, with the sign
 (-1)^d.  The verification and test suites check the recurrence against
-that expansion and against the literal summation.
+that expansion and against the literal summation.  Its nodes S(d, k) are
+kept in one store per field for the life of the process, which
+``power_sum_formula`` and every multizeta sweep share; it is cleared whole
+once it holds more than STORE_BITS, and no result depends on it.
 """
 
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, prod
@@ -53,6 +57,19 @@ BRUTE_FORCE_LIMIT = 1_000_000
 # recurrence terms the formula route may take (see power_sum_packed); the
 # suites and the benchmark stay below 10^5
 FORMULA_SPLIT_LIMIT = 10_000_000
+# bits the store of S(d, k) below may hold: a call that finds more clears
+# it whole, so it stays within one call's additions of this bound
+STORE_BITS = 1 << 28
+# what one entry is charged besides its value's bit length: about the
+# bytes of its dict slot, (d, k) key and int header, so zero values count
+_ENTRY_BITS = 1 << 10
+# canonical packed S(d, k), keyed (d, k), per field, for the life of the
+# process; filled and read only by power_sum_packed.  The lock keeps the
+# bit count from losing an update between threads: it may run above what
+# the store holds (two threads adding one node), never below
+_store: dict[FieldSpec, dict[tuple[int, int], int]] = {}
+_store_bits = 0
+_store_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -84,18 +101,18 @@ class PowerSumResult:
         }
 
 
-def power_sum_packed(
-    d: int, k: int, field: FieldSpec, memo: dict[tuple[int, int], int]
-) -> int:
+def power_sum_packed(d: int, k: int, field: FieldSpec) -> int:
     """S(d, -k) for k >= 0 as a canonical packed polynomial.
 
     Evaluates the one-part recurrence
     S_d(-k) = -sum C(k, j) t^j S_{d-1}(-j), S_0 = 1, over the base-p digit
-    submasks j < k of k with (q-1) | (k-j).  ``memo`` maps (d, j) to packed
-    S(d, -j); the caller owns it and the result does not depend on it.
-    Raises ResourceLimitError first when the work bound, the product of
-    (a + 1) plus d - 1 times the product of C(a + 2, 2) over the base-p
-    digits a of k, exceeds FORMULA_SPLIT_LIMIT.
+    submasks j < k of k with (q-1) | (k-j).  Every node (d, j) it reaches
+    is kept in the field's store, which later calls read; the result does
+    not depend on it.  Raises ResourceLimitError, before the store is read,
+    when the work bound, the product of (a + 1) plus d - 1 times the
+    product of C(a + 2, 2) over the base-p digits a of k, exceeds
+    FORMULA_SPLIT_LIMIT, so a warm store changes no outcome.  A call that
+    finds the store holding more than STORE_BITS clears it whole first.
     """
     p, qm = field.pp.p, field.pp.q - 1
     digits = base_digits(k, p)
@@ -104,6 +121,12 @@ def power_sum_packed(
         raise ResourceLimitError(
             f"work bound {work} exceeds the formula-route guard {FORMULA_SPLIT_LIMIT}"
         )
+    if _store_bits > STORE_BITS:
+        _clear_store()
+    store = _store.setdefault(field, {})
+    value = store.get((d, k))  # a hit skips the Lucas tables below
+    if value is not None:
+        return value
     # C(k, j) mod p by Lucas; every digit of every j is at most a digit of k
     fact = [1] * (max(digits, default=0) + 1)
     for i in range(2, len(fact)):
@@ -111,7 +134,8 @@ def power_sum_packed(
     inv_fact = [pow(x, -1, p) for x in fact]
 
     def node(d: int, k: int) -> int:
-        value = memo.get((d, k))
+        global _store_bits
+        value = store.get((d, k))
         if value is not None:
             return value
         if d == 0:
@@ -132,20 +156,31 @@ def power_sum_packed(
                         c = c * fact[a] * inv_fact[b] * inv_fact[a - b] % p
                     run.add_scaled(sub, p - c, j)
             value = run.canonical()
-        memo[(d, k)] = value
+        store[(d, k)] = value
+        with _store_lock:
+            _store_bits += value.bit_length() + _ENTRY_BITS
         return value
 
     return node(d, k)
 
 
+def _clear_store() -> None:
+    """Empty every field's store of S(d, k)."""
+    global _store_bits
+    with _store_lock:
+        _store.clear()
+        _store_bits = 0
+
+
 def power_sum_formula(d: int, s: int, field: FieldSpec) -> PowerSumResult:
     """Evaluation of S(d, s) for s < 0 by the one-part recurrence
-    (``power_sum_packed``) with a fresh memo."""
+    (``power_sum_packed``), reading and filling the field's store of
+    S(d, k); the value is the same whether the store is cold or warm."""
     if s >= 0:
         raise ValueError("power_sum_formula requires s < 0")
     if d < 0:
         raise ValueError("d must be non-negative")
-    value = canonical_polys(field, [power_sum_packed(d, -s, field, {})])[0]
+    value = canonical_polys(field, [power_sum_packed(d, -s, field)])[0]
     return PowerSumResult(field, d, s, "formula", value)
 
 
@@ -155,10 +190,12 @@ def power_sum_bruteforce(
     """Literal summation of a^(-s) over all monic a of degree d.
 
     Polynomial-valued for s <= 0, rational for s > 0.  Refuses to start
-    when q^d exceeds max_terms.
+    when q^d exceeds max_terms; a negative max_terms is a ValueError.
     """
     if d < 0:
         raise ValueError("d must be non-negative")
+    if max_terms < 0:
+        raise ValueError("max_terms must be non-negative")
     pp = field.pp
     count = pp.q**d
     if count > max_terms:

@@ -111,6 +111,25 @@ class TestPowersumCommand:
         assert code == 3
         assert "resource" in err
 
+    @pytest.mark.parametrize("method", ["bruteforce", "both"])
+    def test_negative_max_terms_is_usage_error(self, capsys, method):
+        code, out, err = run(
+            capsys,
+            "powersum", "--q", "3", "--d", "1", "--s", "-2",
+            "--method", method, "--max-terms", "-1",
+        )
+        assert (code, out) == (1, "")
+        assert "--max-terms" in err
+
+    def test_zero_max_terms_is_resource_limit(self, capsys):
+        code, out, err = run(
+            capsys,
+            "powersum", "--q", "3", "--d", "1", "--s", "-2",
+            "--method", "bruteforce", "--max-terms", "0",
+        )
+        assert (code, out) == (3, "")
+        assert "resource limit" in err
+
     def test_formula_guard_exit_code(self, capsys):
         # digits (256, 256) base 257: the recurrence's work bound
         # 257^2 + C(258, 2)^2 ~ 1.1e9 exceeds the guard

@@ -191,10 +191,14 @@ def test_wide_field_sweep_digest(capsys, q, depth, smin, fmt, jobs):
 # taken while every row sum was a PackedSum: these grids hold the rows and
 # suffix tables whose plain sums ``fqpoly.products_fit`` refuses (1 at
 # q = 13, 3 at q = 11), so both routes are pinned, and with the helper
-# refusing everything the PackedSum route must write the same bytes
+# refusing everything the PackedSum route must write the same bytes.  At
+# q = 257, on 32-bit limbs, the helper admits every row, so the PackedSum
+# route is reached only by refusing; the digest is the plain route's, and
+# -s_1 reaches 256, 512 and 513, the rows that are not all zero
 FALLBACK_SWEEP_SHA256 = {
     ("13", "-200"): "5f9fc59d470e907e170d43433ece79cf981ded81c27ee820aa979042ca249c48",
     ("11", "-300"): "6d72005cc4550016cbf78b73ac25d8f8e5e396c2925f37dec816d14d4dfa9a70",
+    ("257", "-513"): "252f9d670bbe2c1b5e3f92afb95570984df52e70862fb036ccb439780f344f5a",
 }
 
 

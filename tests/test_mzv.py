@@ -13,7 +13,7 @@ from fqzeta import (
     zeta_negative,
     zeta_valuation,
 )
-from fqzeta import mzv
+from fqzeta import mzv, powersum
 from fqzeta.cli import main
 from fqzeta.errors import VanishingMismatchError
 from fqzeta.mzv import NONZERO, NOT_APPLICABLE, TRIVIAL_ZERO
@@ -245,8 +245,8 @@ class TestSweep:
     def test_shared_engine_matches_fresh_evaluations(
         self, sweep_tuples, q, depth, smin
     ):
-        # one engine memoizes S(d, -k) for every d the sweep reaches; each
-        # tuple evaluated on its own must give the same value
+        # one engine shares its columns and suffix tables across the sweep;
+        # each tuple evaluated on its own must give the same value
         field = field_from_q(q)
         results = list(sweep_tuples(field, [range(smin, 0)] * depth))
         assert len(results) == (-smin) ** depth
@@ -306,6 +306,45 @@ class TestSweep:
             "classification",
             "exact",
         }
+
+
+class TestPowerSumStore:
+    """Every engine reads S(d, k) from ``powersum``'s per-field store;
+    values never depend on what it holds."""
+
+    TUPLES = {
+        2: [(-7, -3), (-15, -7, -1), (-30, -30, -30), (-31, -1, -5)],
+        3: [(-8, -2), (-26, -8, -2), (-80, -4, -1), (-9, -9)],
+        4: [(-15, -3), (-63, -15, -3), (-60, -33, -7)],
+        9: [(-80, -8), (-242, -8), (-100, -50, -1)],
+        27: [(-728, -26), (-60, -28), (-100, -27)],
+        257: [(-256, -5), (-512, -300), (-700, -256)],
+    }
+
+    @pytest.mark.parametrize("q", sorted(TUPLES))
+    def test_cold_and_warm_values_agree(self, q):
+        field = field_from_q(q)
+        tuples = self.TUPLES[q]
+        cold = []
+        for s in tuples:
+            powersum._clear_store()
+            res = zeta_negative(s, field)
+            cold.append((res.value, res.classification))
+        assert any(not value.is_zero for value, _ in cold)
+        warm = []
+        for s in reversed(tuples):
+            res = zeta_negative(s, field)
+            warm.append((res.value, res.classification))
+        assert warm[::-1] == cold
+
+    def test_sweep_fills_the_store_power_sum_formula_reads(self, F2):
+        powersum._clear_store()
+        zeta_negative((-30, -30, -30), F2)
+        entries, bits = len(powersum._store[F2]), powersum._store_bits
+        value = power_sum_formula(2, -30, F2).value
+        assert (len(powersum._store[F2]), powersum._store_bits) == (entries, bits)
+        powersum._clear_store()
+        assert power_sum_formula(2, -30, F2).value == value
 
 
 class TestRowMismatch:

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import pytest
 
 from fqzeta import (
@@ -15,7 +18,7 @@ from fqzeta import (
 )
 from fqzeta import make_field
 from fqzeta.compose import HEAD, enumerate_head_free
-from fqzeta import fqpoly
+from fqzeta import fqpoly, powersum
 
 import oracles
 
@@ -104,6 +107,12 @@ class TestBruteForce:
     def test_guard(self, F3):
         with pytest.raises(ResourceLimitError):
             power_sum_bruteforce(3, -2, F3, max_terms=5)
+        with pytest.raises(ResourceLimitError):
+            power_sum_bruteforce(0, -2, F3, max_terms=0)
+
+    def test_negative_max_terms(self, F3):
+        with pytest.raises(ValueError, match="max_terms"):
+            power_sum_bruteforce(1, -2, F3, max_terms=-1)
 
     def test_routes_agree_small(self):
         for q in (2, 3, 4, 9):
@@ -289,3 +298,115 @@ class TestValuationAndVanishing:
                         for e, c in enumerate(poly.coeffs)
                         if c
                     )
+
+
+def _snapshot():
+    return {f: dict(m) for f, m in powersum._store.items()}, powersum._store_bits
+
+
+def _charged():
+    """What the store's entries are charged, over every field."""
+    return sum(
+        v.bit_length() + powersum._ENTRY_BITS
+        for store in powersum._store.values()
+        for v in store.values()
+    )
+
+
+class TestStore:
+    """The per-field store of S(d, k) that ``power_sum_packed`` keeps for
+    the life of the process: values never depend on it."""
+
+    # (d, k) cells per q, reaching q = 27 and the 32-bit limbs of q = 257
+    CELLS = {
+        2: [(d, k) for d in (1, 2, 3, 4) for k in (7, 30, 63, 64, 127)],
+        3: [(d, k) for d in (1, 2, 3) for k in (8, 26, 40, 80, 161)],
+        4: [(d, k) for d in (1, 2, 3) for k in (15, 30, 63, 100)],
+        9: [(d, k) for d in (1, 2, 3) for k in (8, 80, 100, 242)],
+        27: [(d, k) for d in (1, 2) for k in (26, 52, 100, 728)],
+        257: [(d, k) for d in (1, 2) for k in (256, 512, 700, 1000)],
+    }
+
+    @pytest.mark.parametrize("q", sorted(CELLS))
+    def test_cold_and_warm_values_agree(self, q):
+        field = field_from_q(q)
+        cells = self.CELLS[q]
+        cold = []
+        for d, k in cells:
+            powersum._clear_store()
+            cold.append(power_sum_formula(d, -k, field).value)
+        assert any(not v.is_zero for v in cold)
+        # warm, and in reverse order, so each cell reads nodes of the others
+        warm = [power_sum_formula(d, -k, field).value for d, k in reversed(cells)]
+        assert warm[::-1] == cold
+        assert set(powersum._store) == {field}
+
+    def test_store_dropped_over_budget(self, monkeypatch, F2, F3):
+        powersum._clear_store()
+        expected = [power_sum_formula(d, -30, F2).value for d in (1, 2, 3)]
+        powersum._clear_store()
+        monkeypatch.setattr(powersum, "STORE_BITS", 8)
+        assert power_sum_formula(1, -30, F2).value == expected[0]
+        assert powersum._store_bits > 8
+        # the next call finds the store over budget and starts from empty
+        assert power_sum_formula(2, -8, F3).value.text() == "t^6+t^4+t^2"
+        assert set(powersum._store) == {F3}
+        assert powersum._store_bits == _charged()
+        assert [power_sum_formula(d, -30, F2).value for d in (1, 2, 3)] == expected
+
+    @pytest.mark.parametrize("budget", [None, 8])
+    def test_guard_trip_leaves_store_unchanged(self, monkeypatch, F3, budget):
+        field = field_from_q(257)
+        power_sum_formula(2, -512, field)
+        power_sum_formula(3, -80, F3)
+        if budget is not None:
+            monkeypatch.setattr(powersum, "STORE_BITS", budget)
+        before = _snapshot()
+        with pytest.raises(ResourceLimitError):
+            power_sum_formula(2, -66048, field)
+        assert _snapshot() == before
+
+    def test_guard_trips_with_cold_and_warm_store(self):
+        field = field_from_q(257)
+        powersum._clear_store()
+        with pytest.raises(ResourceLimitError):
+            power_sum_formula(2, -66048, field)
+        # the depth-0 nodes and the depth-1 node of the guarded cell
+        power_sum_formula(1, -66048, field)
+        with pytest.raises(ResourceLimitError):
+            power_sum_formula(2, -66048, field)
+
+    def test_threads_lose_no_bit_count(self):
+        # more threads than cores, switching often, each filling its own
+        # field's store from cold, so no node is added twice; a lost update
+        # would leave the count below what the entries are charged
+        qs = (2, 3, 4, 9, 27, 257)
+        expected = {
+            (q, d, k): power_sum_formula(d, -k, field_from_q(q)).value
+            for q in qs
+            for d, k in self.CELLS[q]
+        }
+        powersum._clear_store()
+        got, errors = {}, []
+
+        def work(q):
+            try:
+                for d, k in self.CELLS[q]:
+                    got[q, d, k] = power_sum_formula(d, -k, field_from_q(q)).value
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(q,)) for q in qs]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert got == expected
+        assert powersum._store_bits == _charged()
