@@ -21,12 +21,15 @@ factor no longer than the packed value ``longest``, stays exact while
 count * (p-1)^2 * f * (slots of ``longest``) fits a limb (count * (p-1)
 for a sum of canonical values), and then needs no ``PackedSum`` at all.
 ``canonical_values`` renormalizes many running sums by a single fold over
-one buffer; ``canonical_polys`` and ``canonical_texts`` read canonical
-ones back by one frombuffer, with no fold.
+one buffer (at p = 2, f = 1 by one AND with a low-bit mask);
+``canonical_polys`` and ``canonical_texts`` read canonical ones back by one
+frombuffer, with no fold.
 ``monic_power_sums`` gives the brute-force sums of a^k over the monics of
 one degree: it steps the running powers of a block of monics as numpy limb
 arrays, one per F_p coordinate, under the same rule on a tracked limb
-bound, and packs only the sums.  ``make_field``
+bound, reducing mod p by integer division (a - p * (a // p)) and taking
+each step's column sums in twice the limb width (at most 64 bits), and
+packs only the sums.  ``make_field``
 accepts exactly the fields with (p-1)^2 * f + p - 1 < 2^64, each exact on
 every packed path.  The schoolbook route is kept for small operands and
 serves as the independent reference in the test suite.  All arithmetic
@@ -495,12 +498,17 @@ def products_fit(field: FieldSpec, count: int, longest: Optional[int] = None) ->
 def canonical_values(values: Sequence[int], field: FieldSpec) -> list[int]:
     """Canonical packed form of each packed value (canonical, or a
     ``PackedSum.value``), all renormalized by a single fold.  Zero stays 0,
-    so a value is the zero polynomial exactly when its canonical form is 0."""
-    # every value padded to the longest one's slots, one fold over the lot
+    so a value is the zero polynomial exactly when its canonical form is 0.
+    At p = 2, f = 1 a limb's residue is its low bit, so the fold is
+    n & mask, with a mask built per call holding a 1 at each limb's low bit."""
     fs = field
     slots = -(-max(map(int.bit_length, values), default=0) // fs._slot_bits)
     if not slots:
         return list(values)
+    if fs._prime == 2:
+        mask = ((1 << slots * fs._slot_bits) - 1) // ((1 << fs._limb_bits) - 1)
+        return [n & mask for n in values]
+    # every value padded to the longest one's slots, one fold over the lot
     nbytes = slots * fs._slot_bits // 8
     dtype = f"<u{fs._limb_bits // 8}"
     rows = np.frombuffer(b"".join(n.to_bytes(nbytes, "little") for n in values), dtype)
@@ -585,11 +593,13 @@ def monic_power_sums(field: FieldSpec, d: int, kmax: int) -> list[int]:
     matrix (the x-fold built in).  Overflow follows the ``PackedSum`` rule
     on a tracked limb bound: a step multiplies the bound by at most
     1 + d * f * (p-1), so the step reduces mod p once where the next step
-    could pass the limb width (or the column sums 64 bits), and reduces
+    could pass the limb width (or the column sums their width), and reduces
     between coefficients where even a reduced power could not take a whole
-    step.  The block's part of each sum is a column sum.  Each array holds
-    at most _POWER_BLOCK_LIMBS limbs (at least one monic), and the sums are
-    laid into packed limbs once, at the end.
+    step.  A reduction is a - p * (a // p), the quotient in a scratch row.
+    The block's part of each sum is a column sum in twice the limb width,
+    capped at 64 bits (uint32 for 16-bit limbs, else uint64).  Each array
+    holds at most _POWER_BLOCK_LIMBS limbs (at least one monic), and the
+    sums are laid into packed limbs once, at the end.
     """
     if d < 0 or kmax < 0:
         raise ValueError("need d >= 0 and kmax >= 0")
@@ -597,7 +607,7 @@ def monic_power_sums(field: FieldSpec, d: int, kmax: int) -> list[int]:
     dtype = f"<u{field._limb_bits // 8}"
     size = max(1, _POWER_BLOCK_LIMBS // (d * kmax + 1))
     # the d * k + 1 slots of sum k are columns offsets[k] .. offsets[k+1]-1
-    # of one array, so a single % p reduces every sum
+    # of one array, so a single _reduce brings every sum below p
     offsets = [k * (d * (k - 1) + 2) // 2 for k in range(kmax + 2)]
     flat = np.zeros((f, offsets[-1]), np.uint64)
     sums = [flat[:, a:b] for a, b in zip(offsets, offsets[1:])]
@@ -605,7 +615,7 @@ def monic_power_sums(field: FieldSpec, d: int, kmax: int) -> list[int]:
         index = np.arange(start, min(start + size, q**d), dtype=np.int64)
         # a function of its own, so a block's arrays are freed on return
         _add_block_sums(field, d, index, sums)
-        flat %= p
+        _reduce(flat, p)
     limbs = np.zeros((offsets[-1], field.pack_stride), dtype)
     limbs[:, :f] = flat.T
     raw = memoryview(limbs.tobytes())
@@ -616,6 +626,16 @@ def monic_power_sums(field: FieldSpec, d: int, kmax: int) -> list[int]:
     ]
 
 
+def _reduce(a: np.ndarray, p: int, scratch: Optional[np.ndarray] = None) -> None:
+    """Reduce a mod p in place as a - p * (a // p), one F_p coordinate a[u]
+    at a time, the quotient written to ``scratch`` (a row's shape and dtype)
+    when given: np.remainder by a scalar is several times slower."""
+    for row in a:
+        quot = np.floor_divide(row, p, out=scratch)
+        quot *= p
+        row -= quot
+
+
 def _add_block_sums(
     field: FieldSpec, d: int, index: np.ndarray, sums: list[np.ndarray]
 ) -> None:
@@ -624,6 +644,8 @@ def _add_block_sums(
     base-q digit j of its index; every entry stays below 2^64."""
     p, f, q = field.pp.p, field.pp.f, field.pp.q
     bits = field._limb_bits
+    sum_bits = min(2 * bits, 64)
+    sum_dtype = f"<u{sum_bits // 8}"
     grow = 1 + d * f * (p - 1)  # a step multiplies a limb bound by at most this
     kmax = len(sums) - 1
     # entry [j][u][v] of mats multiplies coordinate v into coordinate u by b_j
@@ -644,7 +666,7 @@ def _add_block_sums(
         acc, term = load, f * (p - 1) * load
         for j, mat in enumerate(mats):
             if acc + term >> bits:
-                new[:, : d + n] %= p
+                _reduce(new[:, : d + n], p, tmp[: d + n])
                 acc = p - 1
             acc += term
             for dst, row in zip(new[:, j : j + n], mat):
@@ -652,10 +674,10 @@ def _add_block_sums(
                     np.multiply(x, entry, out=part)
                     dst += part
         load = acc
-        if load * grow >> bits or load * len(index) + p >> 64:
-            new[:, : d + n] %= p
+        if load * grow >> bits or load * len(index) + p >> sum_bits:
+            _reduce(new[:, : d + n], p, tmp[: d + n])
             load = p - 1
-        sums[k] += new[:, : d + n].sum(axis=2, dtype=np.uint64)
+        sums[k] += new[:, : d + n].sum(axis=2, dtype=sum_dtype)
         cur, new = new, cur
 
 

@@ -2,6 +2,7 @@ import pickle
 import random
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -208,12 +209,21 @@ class TestPolyBasics:
 
     @pytest.mark.parametrize(
         "q, d, size",
-        [(2, 3, 3), (4, 2, 16), (9, 2, 7), (257, 1, 100), (65521, 1, 4096), (3, 0, 5)],
+        [
+            (2, 3, 3),
+            (4, 2, 16),
+            (8, 2, 10),
+            (9, 2, 7),
+            (27, 1, 5),
+            (257, 1, 100),
+            (65521, 1, 4096),
+            (3, 0, 5),
+        ],
     )
     def test_monic_blocks_are_the_packed_monics(self, monkeypatch, q, d, size):
         # monic_power_sums over blocks of `size` monics gives the literal
-        # sums: every case but q = 4 and d = 0 ends on a partial block, and
-        # q = 65521 has 64-bit limbs
+        # sums: every case but q = 4 and d = 0 ends on a partial block,
+        # q = 8 and 27 have f = 3, and q = 65521 has 64-bit limbs
         field = field_from_q(q)
         kmax = 1 if q > 1000 else 4
         monkeypatch.setattr(fqpoly, "_POWER_BLOCK_LIMBS", size * (d * kmax + 1))
@@ -328,6 +338,61 @@ class TestPolyMultiplicationRoutes:
         got = [Poly.from_packed(narrow, n) for n in monic_power_sums(narrow, 2, 6)]
         want = [Poly.from_packed(natural, n) for n in monic_power_sums(natural, 2, 6)]
         assert [g.coeffs for g in got] == [w.coeffs for w in want]
+
+    @pytest.mark.parametrize("bits, kmax, slots", [(8, 4, [13, 19, 25]), (64, 16, [91])])
+    def test_monic_power_sums_column_sum_width(self, monkeypatch, bits, kmax, slots):
+        # F_3 with its limb width forced; the 729 monics of d = 6 share one
+        # block, and a step multiplies its load by 13.  At 8 bits the column
+        # sums are 16-bit, and from k = 2 on every step reduces because the
+        # next step could pass the limb (load * 13 >= 2^8).  At 64 bits,
+        # at k = 15 the next step still fits a limb (13^16 < 2^64) but
+        # 13^15 * 729 does not fit the column sum, so only the column-sum
+        # guard reduces there, once, on the 91 slots of a^15.
+        natural = field_from_q(3)
+        narrow = FieldSpec(natural.pp, natural.modulus)
+        narrow._limb_bits = narrow._slot_bits = bits
+        reduced = []
+        reduce = fqpoly._reduce
+
+        def spy(a, p, scratch=None):
+            if scratch is not None:  # a block's powers, not the sums
+                reduced.append(a.shape[1])
+            reduce(a, p, scratch)
+
+        monkeypatch.setattr(fqpoly, "_reduce", spy)
+        got = [Poly.from_packed(narrow, n) for n in monic_power_sums(narrow, 6, kmax)]
+        assert reduced == slots
+        want = [Poly.from_packed(natural, n) for n in monic_power_sums(natural, 6, kmax)]
+        assert [g.coeffs for g in got] == [w.coeffs for w in want]
+
+    @pytest.mark.parametrize("p", [2, 3, 251, 257, 65521])
+    @pytest.mark.parametrize("bits", [16, 32, 64])
+    def test_reduce_matches_remainder(self, p, bits):
+        # a - p * (a // p) in place, with and without a scratch row, at the
+        # extremes of each limb width
+        top = (1 << bits) - 1
+        values = [0, p - 1, p, top, top - 1, top - p]
+        a = np.array([values, values[::-1]], f"<u{bits // 8}")
+        want = a % p
+        for scratch in (None, np.empty_like(a[0])):
+            got = a.copy()
+            fqpoly._reduce(got, p, scratch)
+            assert got.dtype == a.dtype
+            assert got.tolist() == want.tolist()
+
+    def test_canonical_values_mask_fold_at_two(self):
+        # at q = 2 the fold is one AND with a low-bit mask: limbs up to
+        # 2^16 - 1, odd and even, values of mixed lengths and zero
+        field = field_from_q(2)
+        rng = random.Random(2)
+        top = (1 << 16) - 1
+        values = [0, top, top - 1, (top << 16) | (top - 1)]
+        for n in (1, 7, 40, 300):
+            limbs = [rng.choice((top, top - 1, rng.randrange(top + 1))) for _ in range(n)]
+            values.append(int.from_bytes(np.array(limbs, "<u2").tobytes(), "little"))
+        got = canonical_values(values, field)
+        assert got == [fqpoly._renorm_packed(n, field) for n in values]
+        assert got[:4] == [0, 1, 0, 1 << 16]
 
     @pytest.mark.parametrize("q", [2, 9, 257])
     def test_canonical_values(self, q):
