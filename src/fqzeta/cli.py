@@ -18,7 +18,6 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Iterator, Optional, Sequence, Union
 
 from . import __version__, compose, mzv, powersum, verify
-from .digitlab import PrimePower
 from .errors import (
     EmptySetError,
     FqzetaError,
@@ -26,7 +25,7 @@ from .errors import (
     ResourceLimitError,
     VanishingMismatchError,
 )
-from .fqpoly import FieldSpec, canonical_texts, field_from_q
+from .fqpoly import FieldSpec, canonical_texts, field_from_q, make_field
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -45,12 +44,9 @@ def _resolve_field(args) -> FieldSpec:
     if args.q is not None:
         if args.p is not None or args.f is not None:
             raise PreconditionError("give either --q or --p/--f, not both")
-        pp = PrimePower.from_q(args.q)
-        return field_from_q(pp.q)
+        return field_from_q(args.q)
     if args.p is None:
         raise PreconditionError("one of --q or --p (with optional --f) is required")
-    from .fqpoly import make_field
-
     return make_field(args.p, args.f if args.f is not None else 1)
 
 
@@ -140,16 +136,13 @@ def _parse_tuple(text: str) -> tuple[int, ...]:
         raise PreconditionError(f"cannot parse index tuple {text!r}") from exc
 
 
-def _eval_zeta(s: tuple[int, ...], field: FieldSpec, dmax: Optional[int]):
-    if all(x < 0 for x in s):
-        return mzv.zeta_negative(s, field)
-    return mzv.zeta_mixed(s, field, d_max=dmax)
-
-
 def _cmd_mzv(args) -> int:
     field = _resolve_field(args)
     s = _parse_tuple(args.s)
-    res = _eval_zeta(s, field, args.dmax)
+    if all(x < 0 for x in s):
+        res = mzv.zeta_negative(s, field)
+    else:
+        res = mzv.zeta_mixed(s, field, d_max=args.dmax)
     if args.format == "json":
         _emit(json.dumps(res.to_json_dict(), indent=2) + "\n", args.out)
     else:
@@ -234,42 +227,48 @@ def _cmd_compositions(args) -> int:
 _CSV_HEADER = "q,p,f,s_tuple,depth,value,valuation,classification,exact\r\n"
 
 
+def _new_texts(field: FieldSpec, shown: dict, values: list[int]):
+    """(value, (text, valuation)) for each distinct value of a row that is
+    not in shown yet, read as one ``canonical_texts`` batch."""
+    new = [n for n in dict.fromkeys(values) if n not in shown]
+    return zip(new, canonical_texts(field, new))
+
+
 def _sweep_csv(field: FieldSpec, rows) -> Iterator[str]:
     """The CSV lines of one sweep, one string per grid row.
 
-    Within a sweep the classification is a function of the value (``row``
-    checks every tuple against it) and the depth is fixed, so the tail
-    `depth,value,valuation,classification,exact` is formatted once per
-    distinct value, a row's new values in one ``canonical_texts`` batch.
-    The tail and s_tuple hold no quote or line break, so each field is
-    quoted, as by the csv module, exactly when it has a comma: s_tuple at
-    depth >= 2, the value at f > 1 when it has a coordinate vector.
+    Within a sweep the depth is fixed, so the classification is a function
+    of the value, and the tail `depth,value,valuation,classification,exact`
+    is formatted once per distinct value.  The tail and s_tuple hold no
+    quote or line break, so each field is quoted, as by the csv module,
+    exactly when it has a comma: s_tuple at depth >= 2, the value at f > 1
+    when it has a coordinate vector.
     """
     pp = field.pp
     shown: dict[int, str] = {}
     qpf = f"{pp.q},{pp.p},{pp.f},"
     ends: list[str] = []  # x and the s_tuple's end, the same for every row
-    for head, tails, row in rows:
+    for head, tails, values in rows:
         lead = qpf + '"' + ",".join(map(str, head)) + "," if head else qpf
         if not ends:
             ends = [f'{x}",' if head else f"{x}," for x in tails]
-        classes = dict(row)
-        new = [n for n in classes if n not in shown]
-        for n, (text, val) in zip(new, canonical_texts(field, new)):
+        depth = len(head) + 1
+        for n, (text, val) in _new_texts(field, shown, values):
             if "," in text:
                 text = f'"{text}"'
-            shown[n] = f"{len(head) + 1},{text},{val},{classes[n]},True\r\n"
-        yield "".join([f"{lead}{end}{shown[n]}" for end, (n, _) in zip(ends, row)])
+            shown[n] = f"{depth},{text},{val},{mzv.classification(depth, n)},True\r\n"
+        yield "".join([f"{lead}{end}{shown[n]}" for end, n in zip(ends, values)])
 
 
 def _sweep_records(field: FieldSpec, rows) -> Iterator[dict]:
     """The JSON records of one sweep; text and valuation are built once
-    per distinct value, a row's new values in one batch."""
+    per distinct value."""
     shown: dict[int, tuple[str, object]] = {}
-    for head, tails, row in rows:
-        new = [n for n in dict.fromkeys(n for n, _ in row) if n not in shown]
-        shown.update(zip(new, canonical_texts(field, new)))
-        for x, (n, cls) in zip(tails, row):
+    for head, tails, values in rows:
+        shown.update(_new_texts(field, shown, values))
+        depth = len(head) + 1
+        for x, n in zip(tails, values):
+            cls = mzv.classification(depth, n)
             yield mzv.zeta_record(field, head + (x,), *shown[n], cls, True)
 
 
@@ -284,15 +283,15 @@ def _cmd_sweep(args) -> int:
     qs = [int(x) for x in args.q.split(",")] if args.q else None
     if not qs:
         raise PreconditionError("--q is required (comma-separated prime powers)")
-    for q in qs:
-        PrimePower.from_q(q)
+    # every q is checked, in the order given, before the ranges
+    fields = {q: field_from_q(q) for q in qs}
     if args.smin > args.smax or args.smax > -1:
         raise PreconditionError("need --smin <= --smax <= -1")
     if args.jobs < 1:
         raise PreconditionError("--jobs must be at least 1")
     if args.depth < 1:
         raise PreconditionError("index tuple must have depth >= 1")
-    fields = {q: field_from_q(q) for q in sorted(qs)}
+    fields = dict(sorted(fields.items()))
     box = [range(args.smin, args.smax + 1)] * args.depth
     # each sweep has its own engine and its writer's memo of formatted values
     writer = _sweep_records if args.format == "json" else _sweep_csv

@@ -53,7 +53,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, sub
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .digitlab import (
     CACHE_LIMIT,
@@ -410,17 +410,8 @@ def enumerate_tail_free(
 ) -> tuple[Composition, ...]:
     """The complete set of tail-free compositions of n with d parts,
     sorted lexicographically on parts."""
-    if max_results < 0:
-        raise ValueError("max_results must be non-negative")
-    out = []
-    for parts in iter_tail_free_parts(n, d, q):
-        out.append(parts)
-        if len(out) > max_results:
-            raise ResourceLimitError(
-                f"more than {max_results} compositions; raise max_results"
-            )
-    out.sort()
-    return tuple(Composition._trusted(q, p, TAIL, n) for p in out)
+    found = _sorted_capped(iter_tail_free_parts(n, d, q), max_results)
+    return tuple(Composition._trusted(q, p, TAIL, n) for p in found)
 
 
 def enumerate_head_free(
@@ -435,19 +426,26 @@ def enumerate_head_free(
         raise ValueError("k must be positive")
     if d < 0:
         raise ValueError("d must be non-negative")
-    if max_results < 0:
-        raise ValueError("max_results must be non-negative")
+    # d = 0 has the one composition (k,), returned whatever the cap
+    heads = (parts[::-1] for parts in iter_tail_free_parts(k, d + 1, q)) if d else ()
+    found = _sorted_capped(heads, max_results)
     if d == 0:
         return (Composition(q, (k,), HEAD, k),)
+    return tuple(Composition._trusted(q, p, HEAD, k) for p in found)
+
+
+def _sorted_capped(parts: Iterable[tuple[int, ...]], max_results: int) -> list[tuple[int, ...]]:
+    """The part tuples sorted; ValueError for a negative max_results before
+    the first is taken, ResourceLimitError as soon as there are more."""
+    if max_results < 0:
+        raise ValueError("max_results must be non-negative")
     out = []
-    for parts in iter_tail_free_parts(k, d + 1, q):
-        out.append(parts[::-1])
+    for p in parts:
+        out.append(p)
         if len(out) > max_results:
-            raise ResourceLimitError(
-                f"more than {max_results} compositions; raise max_results"
-            )
+            raise ResourceLimitError(f"more than {max_results} compositions; raise max_results")
     out.sort()
-    return tuple(Composition._trusted(q, p, HEAD, k) for p in out)
+    return out
 
 
 def tail_free_nonempty(n: int, d: int, q: PrimePower) -> bool:

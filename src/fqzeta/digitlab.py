@@ -71,6 +71,18 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _perfect_power(q: int) -> tuple[int, int]:
+    """(r, f) with r^f = q and f as large as possible, for q >= 2."""
+    for f in range(q.bit_length() - 1, 1, -1):
+        # integer Newton steps from above reach floor(q^(1/f))
+        r = 1 << -(-q.bit_length() // f)
+        while (s := ((f - 1) * r + q // r ** (f - 1)) // f) < r:
+            r = s
+        if r**f == q:
+            return r, f
+    return q, 1
+
+
 @dataclass(frozen=True)
 class PrimePower:
     """A prime power q = p^f carrying its factorization.
@@ -97,19 +109,8 @@ class PrimePower:
         """Factor q as p^f; rejects integers that are not prime powers."""
         if q < 2:
             raise ValueError(f"q must be >= 2, got {q}")
-        p = q
-        for d in range(2, q + 1):
-            if d * d > q:
-                break
-            if q % d == 0:
-                p = d
-                break
-        f = 0
-        rest = q
-        while rest % p == 0:
-            rest //= p
-            f += 1
-        if rest != 1:
+        p, f = _perfect_power(q)  # q is a prime power exactly when p is prime
+        if not _is_prime(p):
             raise ValueError(f"{q} is not a prime power")
         return cls(p, f)
 

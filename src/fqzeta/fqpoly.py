@@ -16,12 +16,11 @@ overflow rule covers every packed product: canonical operands add at most
 (p-1)^2 * f * min(slots) to a limb (an F_p-multiple c * t^j * a adds at
 most (p-1)^2), and ``PackedSum`` renormalizes, or splits the shorter
 operand, before any limb could overflow.  Its batch form is
-``products_fit``: a plain int sum of ``count`` such products, each with a
-factor no longer than the packed value ``longest``, stays exact while
-count * (p-1)^2 * f * (slots of ``longest``) fits a limb (count * (p-1)
-for a sum of canonical values), and then needs no ``PackedSum`` at all.
-``canonical_values`` renormalizes many running sums by a single fold over
-one buffer (at p = 2, f = 1 by one AND with a low-bit mask);
+``product_sums``: plain int sums of products while len(factors) *
+(p-1)^2 * f * (slots of the longest factor) fits a limb, ``PackedSum``s
+otherwise.  ``canonical_values``, the one renormalize route, folds many
+sums over one buffer (at p = 2, f = 1 one AND with a low-bit mask), for
+``product_sums``, ``PackedSum.canonical`` and ``Poly.from_packed`` alike;
 ``canonical_polys`` and ``canonical_texts`` read canonical ones back by one
 frombuffer, with no fold.
 ``monic_power_sums`` gives the brute-force sums of a^k over the monics of
@@ -29,10 +28,11 @@ one degree: it steps the running powers of a block of monics as numpy limb
 arrays, one per F_p coordinate, under the same rule on a tracked limb
 bound, reducing mod p by integer division (a - p * (a // p)) and taking
 each step's column sums in twice the limb width (at most 64 bits), and
-packs only the sums.  ``make_field``
-accepts exactly the fields with (p-1)^2 * f + p - 1 < 2^64, each exact on
-every packed path.  The schoolbook route is kept for small operands and
-serves as the independent reference in the test suite.  All arithmetic
+packs only the sums.  ``make_field`` accepts exactly the fields with
+(p-1)^2 * f + p - 1 < 2^64, each exact on every packed path, and
+``field_from_q`` applies that rule before it factors q.  The schoolbook
+route is kept for small operands and serves as the independent reference
+in the test suite.  All arithmetic
 is exact; there is no floating point anywhere in this module.
 """
 
@@ -40,11 +40,12 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from operator import mul
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .digitlab import CACHE_LIMIT, PrimePower
+from .digitlab import CACHE_LIMIT, PrimePower, _perfect_power
 
 __all__ = [
     "INF",
@@ -56,9 +57,10 @@ __all__ = [
     "canonical_texts",
     "canonical_valuations",
     "canonical_values",
-    "products_fit",
+    "product_sums",
     "make_field",
     "field_from_q",
+    "field_prime_power",
     "monic_polys",
     "monic_power_sums",
     "poly_gcd",
@@ -360,19 +362,36 @@ def make_field(p: int, f: int) -> FieldSpec:
     The modulus is the lexicographically smallest monic irreducible of
     degree f over F_p, coefficients compared low-to-high as a base-p
     integer; irreducibility is certified by trial division against every
-    monic polynomial of degree at most f/2.  Raises ValueError when
-    (p-1)^2 * f + p - 1 does not fit a 64-bit limb.  Fields are cached
-    (CACHE_LIMIT entries); an evicted field is rebuilt equal by value.
+    monic polynomial of degree at most f/2.  Raises ValueError when f < 1
+    or (p-1)^2 * f + p - 1 does not fit a 64-bit limb, both before p is
+    tested for primality.  Fields are cached (CACHE_LIMIT entries); an
+    evicted field is rebuilt equal by value.
     """
-    if (p - 1) ** 2 * f + p - 1 >> 64:
-        raise ValueError(f"q = {p}^{f}: (p-1)^2*f + p-1 exceeds a 64-bit limb")
+    _check_size(p, f)
     pp = PrimePower(p, f)
     modulus = next(cand for cand in _fp_monics(f, p) if _fp_is_irreducible(cand, p))
     return FieldSpec(pp, modulus)
 
 
+def _check_size(p: int, f: int) -> None:
+    # the field-size rule; p < 2 is left to PrimePower
+    if f < 1:
+        raise ValueError(f"f must be >= 1, got {f}")
+    if p > 1 and (p - 1) ** 2 * f + p - 1 >> 64:
+        raise ValueError(f"q = {p}^{f}: (p-1)^2*f + p-1 exceeds a 64-bit limb")
+
+
+def field_prime_power(q: int) -> PrimePower:
+    """``PrimePower.from_q(q)`` after ``make_field``'s size rule, applied to
+    q = r^f with f largest (r = p for a prime power) before r is tested for
+    primality, so a q too wide for the limbs is refused at once."""
+    if q >= 2:
+        _check_size(*_perfect_power(q))
+    return PrimePower.from_q(q)
+
+
 def field_from_q(q: int) -> FieldSpec:
-    pp = PrimePower.from_q(q)
+    pp = field_prime_power(q)
     return make_field(pp.p, pp.f)
 
 
@@ -390,21 +409,18 @@ def _pack_codes(codes: Sequence[int], field: FieldSpec) -> int:
     return int.from_bytes(full.tobytes(), "little")
 
 
-def _limb_rows(n: int, field: FieldSpec) -> np.ndarray:
-    nbytes = -(-n.bit_length() // field._slot_bits) * field._slot_bits // 8
-    raw = np.frombuffer(n.to_bytes(nbytes, "little"), f"<u{field._limb_bits // 8}")
-    return raw.reshape(-1, field.pack_stride)
-
-
-def _fold_rows(rows: np.ndarray, field: FieldSpec) -> np.ndarray:
-    """Limb rows with the x-slots folded modulo m(x) into the low f limbs,
-    the rest zeroed, all reduced mod p."""
+def _fold_limbs(raw: bytes, field: FieldSpec) -> bytes:
+    """Packed limbs, whole slots, with the x-slots folded modulo m(x) into
+    the low f limbs, the rest zeroed, all reduced mod p."""
     p, f = field.pp.p, field.pp.f
+    dtype = f"<u{field._limb_bits // 8}"
+    limbs = np.frombuffer(raw, dtype)
     if f == 1:
-        return rows % p
+        return (limbs % p).tobytes()
     # f - 1 fold terms c * limb (c < p) stay below 2^32 on 16-bit limbs and
     # below 2^64 on 32-bit limbs; 64-bit limbs are reduced first, which
     # keeps a head limb below (p-1) + (f-1)(p-1)^2, as make_field assumes
+    rows = limbs.reshape(-1, field.pack_stride)
     rows = rows.astype(np.uint32 if field._limb_bits == 16 else np.uint64)
     if field._limb_bits == 64:
         rows %= p
@@ -415,14 +431,7 @@ def _fold_rows(rows: np.ndarray, field: FieldSpec) -> np.ndarray:
                 rows[:, b_idx] += c * col
     rows[:, f:] = 0
     rows %= p
-    return rows
-
-
-def _renorm_packed(n: int, field: FieldSpec) -> int:
-    """Fold x-slots modulo m(x) and reduce limbs mod p; canonical packed."""
-    rows = _fold_rows(_limb_rows(n, field), field)
-    dtype = f"<u{field._limb_bits // 8}"
-    return int.from_bytes(rows.astype(dtype, copy=False).tobytes(), "little")
+    return rows.astype(dtype).tobytes()
 
 
 class PackedSum:
@@ -474,25 +483,38 @@ class PackedSum:
     def canonical(self) -> int:
         """The sum, renormalized in place to canonical packed form."""
         if self.load >= self.field.pp.p:
-            self.value = _renorm_packed(self.value, self.field)
+            [self.value] = canonical_values([self.value], self.field)
             self.load = self.field.pp.p - 1
         return self.value
 
 
-def products_fit(field: FieldSpec, count: int, longest: Optional[int] = None) -> bool:
-    """Whether a plain sum of ``count`` terms, started from 0, keeps every
-    limb below the limb width, so that ``canonical_values`` reads it exactly.
+def _products_fit(field: FieldSpec, count: int, longest: int) -> bool:
+    """Whether a plain sum of ``count`` products of canonical packed values,
+    each with a factor no longer than ``longest``, keeps every limb below
+    the limb width: a product adds at most (p-1)^2 * f per slot of it."""
+    slots = -(-longest.bit_length() // field._slot_bits)
+    return count * field._product_bound * slots >> field._limb_bits == 0
 
-    Each term is a product of canonical packed values of which one is at
-    most as long as the canonical packed value ``longest``, adding at most
-    (p-1)^2 * f per slot of ``longest`` to a limb; with ``longest`` None each
-    term is a canonical packed value itself, adding at most p - 1.  A sum
-    that does not fit goes through ``PackedSum``."""
-    if longest is None:
-        bound = field.pp.p - 1
+
+def product_sums(
+    field: FieldSpec, columns: Sequence[Sequence[int]], factors: Sequence[int]
+) -> list[int]:
+    """Canonical packed sum over d of col[d] * factors[d] for each column of
+    canonical packed values, d running while both last, renormalized by one
+    ``canonical_values`` fold: plain ints when ``_products_fit`` admits
+    len(factors) terms and the longest factor, else ``PackedSum``s."""
+    if not factors:
+        return [0] * len(columns)
+    if _products_fit(field, len(factors), max(factors)):
+        sums = [sum(map(mul, col, factors)) for col in columns]
     else:
-        bound = field._product_bound * -(-longest.bit_length() // field._slot_bits)
-    return count * bound >> field._limb_bits == 0
+        sums = []
+        for col in columns:
+            total = PackedSum(field)
+            for a, b in zip(col, factors):
+                total.add(a, b)
+            sums.append(total.value)
+    return canonical_values(sums, field)
 
 
 def canonical_values(values: Sequence[int], field: FieldSpec) -> list[int]:
@@ -502,7 +524,8 @@ def canonical_values(values: Sequence[int], field: FieldSpec) -> list[int]:
     At p = 2, f = 1 a limb's residue is its low bit, so the fold is
     n & mask, with a mask built per call holding a 1 at each limb's low bit."""
     fs = field
-    slots = -(-max(map(int.bit_length, values), default=0) // fs._slot_bits)
+    # values are non-negative, so the largest is the longest
+    slots = -(-max(values).bit_length() // fs._slot_bits) if values else 0
     if not slots:
         return list(values)
     if fs._prime == 2:
@@ -510,10 +533,9 @@ def canonical_values(values: Sequence[int], field: FieldSpec) -> list[int]:
         return [n & mask for n in values]
     # every value padded to the longest one's slots, one fold over the lot
     nbytes = slots * fs._slot_bits // 8
-    dtype = f"<u{fs._limb_bits // 8}"
-    rows = np.frombuffer(b"".join(n.to_bytes(nbytes, "little") for n in values), dtype)
-    rows = _fold_rows(rows.reshape(-1, fs.pack_stride), fs)
-    raw = memoryview(rows.astype(dtype, copy=False).tobytes())
+    if len(values) == 1:  # as PackedSum.canonical folds, with no batch to cut
+        return [int.from_bytes(_fold_limbs(values[0].to_bytes(nbytes, "little"), fs), "little")]
+    raw = memoryview(_fold_limbs(b"".join([n.to_bytes(nbytes, "little") for n in values]), fs))
     return [
         int.from_bytes(raw[i : i + nbytes], "little") for i in range(0, len(raw), nbytes)
     ]
@@ -742,7 +764,7 @@ class Poly:
     @classmethod
     def from_packed(cls, field: FieldSpec, n: int) -> "Poly":
         """Polynomial of a packed value, canonical or a ``PackedSum.value``."""
-        return canonical_polys(field, [_renorm_packed(n, field)])[0]
+        return canonical_polys(field, canonical_values([n], field))[0]
 
     # -- structure ----------------------------------------------------------
 

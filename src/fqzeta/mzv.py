@@ -15,15 +15,15 @@ function, ``_trivial_criterion``, decides it for the engine,
 ``classify_zero`` and ``zeta_valuation`` alike, reading the thresholds
 from ``digitlab._threshold_floor``.  Evaluation therefore goes a grid row
 at a time: one engine call takes the tuples head + (x,) for a list of
-last entries x, decides the row's classification once, and still
-compares every tuple's exact value with it, raising for the first tuple
-that disagrees.  ``sweep_rows`` takes one range of entries per position
-and hands out one row per head, with s_r fastest; a single tuple is a
-sweep of one-entry ranges, and so a one-entry row.
-A row's sums, over d of S(d, s_r) * T(d + 1) with T the suffix sums of its
-head, are plain Python ints folded once per row, and so are the suffix
-tables; ``fqpoly.products_fit`` decides when that is exact, and a row or
-table it refuses is summed with ``PackedSum`` instead.
+last entries x, decides the row's criterion once, and still compares
+every tuple's exact value with it, raising for the first tuple that
+disagrees.  ``sweep_rows`` takes one range of entries per position and
+hands out one row of canonical packed values per head, with s_r fastest;
+a single tuple is a sweep of one-entry ranges, and so a one-entry row.
+A checked value's class follows from it and the depth by the one rule
+``classification``.  A row's values, the sums over d of S(d, s_r) *
+T(d + 1) with T the suffix sums of its head, and each suffix table are
+one ``fqpoly.product_sums`` call.
 
 Mixed and positive signs are evaluated with exact rational arithmetic;
 the series is finite exactly when s_1 < 0 (the leading degree is then
@@ -36,7 +36,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .digitlab import PrimePower, _threshold_floor
@@ -44,12 +43,10 @@ from .errors import PreconditionError, ResourceLimitError, VanishingMismatchErro
 from .fqpoly import (
     INF,
     FieldSpec,
-    PackedSum,
     Poly,
     RationalFn,
     canonical_polys,
-    canonical_values,
-    products_fit,
+    product_sums,
 )
 from .powersum import (
     power_sum_bruteforce,
@@ -66,6 +63,7 @@ __all__ = [
     "ZetaResult",
     "zeta_negative",
     "classify_zero",
+    "classification",
     "zeta_valuation",
     "zeta_mixed",
     "sweep_rows",
@@ -212,17 +210,14 @@ class _NegativeEngine:
     the suffix-sum table of the last head seen, so that a lexicographic
     sweep reuses all shared heads.  Loop bounds come from
     ``floors``, floor(L(k)) for each exponent k of the grid, read once from
-    ``digitlab._threshold_floor``; a row's classification is the one
+    ``digitlab._threshold_floor``; a row's criterion is the one
     head-level ``_trivial_criterion``, decided once per row.
 
-    A sum over d of S(d, k) * T(d + 1) is a plain int sum of products,
-    ``sum(map(mul, column, factors))``, and a whole row or suffix table is
-    renormalized by one ``canonical_values`` fold.  That is exact while no
-    limb can overflow, which ``fqpoly.products_fit`` decides from the
-    number of products and the longest factor T(d + 1); a row or table it
-    refuses goes through ``PackedSum``, which renormalizes on the way.
-    Values leave the engine canonical packed; turning them into polynomials
-    or text is the caller's, once per distinct value.
+    A row, and a suffix table, is one ``fqpoly.product_sums`` call: the
+    sums over d of S(d, k) * T(d + 1), renormalized by one fold, with the
+    choice of plain ints or ``PackedSum`` left to ``fqpoly``.  Values leave
+    the engine canonical packed; turning them into polynomials or text, and
+    into a ``classification``, is the caller's, once per distinct value.
     """
 
     def __init__(self, field: FieldSpec, ks: Iterable[int]):
@@ -250,81 +245,54 @@ class _NegativeEngine:
 
         T(m) sums, over chains d_1 > ... > d_i >= m (i = len(head), each
         d_j within the threshold of -head[j-1]), the products of
-        S(d_j, head[j-1]).
+        S(d_j, head[j-1]); it is the product sum of the column S(d, k),
+        d >= m, with the factors of head[:-1].
         """
         i = len(head)
         cached = self._levels.get(i)
         if cached is not None and cached[0] == head:
             return cached[1]
         k = -head[-1]
-        lead, longest = self._factors(head[:-1])
+        lead = self._factors(head[:-1])
         col = self.column(k, lead)
         n = min(len(col), len(lead))
-        terms = zip(reversed(col[:n]), reversed(lead[:n]))
-        if products_fit(self.field, n, longest):
-            sums = list(itertools.accumulate(itertools.starmap(mul, terms)))
-        else:
-            run = PackedSum(self.field)
-            sums = [run.add(a, b).value for a, b in terms]
-        sums.reverse()
-        table = canonical_values(sums + [0] * (self.floors[k] + 2 - n), self.field)
+        columns = [[0] * m + col[m:n] for m in range(n)]
+        table = product_sums(self.field, columns, lead[:n]) + [0] * (self.floors[k] + 2 - n)
         self._levels[i] = (head, table)
         return table
 
-    def _factors(self, head: tuple[int, ...]) -> tuple[list[int], Optional[int]]:
+    def _factors(self, head: tuple[int, ...]) -> list[int]:
         """The factors T(d + 1) of S(d, k) in the sums over one more entry,
-        for d from 0 up to the last nonzero one, T the suffix table of head,
-        and the longest of them; for the empty head every factor is 1 and
-        the longest is None, as ``products_fit`` takes it."""
+        for d from 0 up to the last nonzero one, T the suffix table of head;
+        for the empty head every factor is 1."""
         if not head:
-            return self._ones, None
+            return self._ones
         table = self.suffix_table(head)
         n = len(table)
         while n > 1 and not table[n - 1]:
             n -= 1
-        lead = table[1:n]
-        return lead, max(lead, default=0)
+        return table[1:n]
 
-    def values(self, head: tuple[int, ...], tails: Sequence[int]) -> list[int]:
-        """Canonical packed zeta(head + (x,)) for each x in tails: the sum
-        over d of S(d, x) * T(d + 1), T the suffix table of head (1 for the
-        empty head), renormalized by one fold for the whole row.  The sums
-        are plain ints when ``fqpoly.products_fit`` admits the row, and
-        ``PackedSum``s otherwise."""
+    def row(self, head: tuple[int, ...], tails: Sequence[int]) -> list[int]:
+        """Canonical packed zeta(head + (x,)) for each x in tails: the
+        product sum of the column S(d, x) with the factors T(d + 1), T the
+        suffix table of head (1 for the empty head).
+
+        The trivial-zero criterion ranges over i <= r-1 only, so it is
+        decided once for the row; every value is still compared with it,
+        and a disagreement raises VanishingMismatchError naming its tuple.
+        """
         floors = self.floors
-        lead, longest = self._factors(head)
-        if not lead:
-            return [0] * len(tails)
+        lead = self._factors(head)
         width, columns = len(lead), []
         for x in tails:
             col = self._columns[-x]
             if len(col) < width and len(col) <= floors[-x]:
                 self.column(-x, lead)
             columns.append(col)
-        if products_fit(self.field, len(lead), longest):
-            sums = [sum(map(mul, col, lead)) for col in columns]
-        else:
-            sums = []
-            for col in columns:
-                total = PackedSum(self.field)
-                for a, b in zip(col, lead):
-                    total.add(a, b)
-                sums.append(total.value)
-        return canonical_values(sums, self.field)
-
-    def row(
-        self, head: tuple[int, ...], tails: Sequence[int]
-    ) -> list[tuple[int, str]]:
-        """(canonical packed value, classification) of zeta(head + (x,))
-        for each x in tails.
-
-        The trivial-zero criterion ranges over i <= r-1 only, so it is
-        decided once for the row; every value is still compared with it,
-        and a disagreement raises VanishingMismatchError naming its tuple.
-        """
-        values = self.values(head, tails)
+        values = product_sums(self.field, columns, lead)
         if not head:
-            return [(n, NONZERO if n else NOT_APPLICABLE) for n in values]
+            return values
         trivial = _trivial_criterion(head, self.field.pp)
         for x, n in zip(tails, values):
             if not n and not trivial:
@@ -337,8 +305,16 @@ class _NegativeEngine:
                     f"zeta{head + (x,)} != 0 yet the trivial-zero criterion "
                     "holds; arithmetic bug"
                 )
-        cls = TRIVIAL_ZERO if trivial else NONZERO
-        return [(n, cls) for n in values]
+        return values
+
+
+def classification(depth: int, n) -> str:
+    """The class of an all-negative tuple whose value n (canonical packed,
+    or a Poly) the engine has checked: NONZERO when n is nonzero, else
+    TRIVIAL_ZERO at depth >= 2 and NOT_APPLICABLE at depth 1."""
+    if n:
+        return NONZERO
+    return TRIVIAL_ZERO if depth >= 2 else NOT_APPLICABLE
 
 
 def zeta_negative(s: Union[tuple[int, ...], list[int]], field: FieldSpec) -> ZetaResult:
@@ -353,28 +329,28 @@ def zeta_negative(s: Union[tuple[int, ...], list[int]], field: FieldSpec) -> Zet
     idx = ZetaIndex(field, tuple(s))
     if not idx.all_negative:
         raise PreconditionError("zeta_negative needs all-negative entries")
-    [(_, _, [(n, cls)])] = sweep_rows(field, [(x,) for x in idx.s])
-    return ZetaResult(idx, canonical_polys(field, [n])[0], cls, True)
+    [(_, _, [n])] = sweep_rows(field, [(x,) for x in idx.s])
+    return ZetaResult(idx, canonical_polys(field, [n])[0], classification(idx.depth, n), True)
 
 
 def sweep_rows(
     field: FieldSpec, ranges: Sequence[Sequence[int]]
-) -> Iterator[tuple[tuple[int, ...], Sequence[int], list[tuple[int, str]]]]:
+) -> Iterator[tuple[tuple[int, ...], Sequence[int], list[int]]]:
     """All-negative sweep over the tuples whose i-th entry runs over
     ranges[i], one grid row at a time.  The box [smin, smax]^depth is
     ``[range(smin, smax + 1)] * depth``; a leading run of one-entry ranges
     fixes a prefix, and a single tuple is a sweep of one-entry ranges.
 
-    Yields (head, tails, row) for each head of
+    Yields (head, tails, values) for each head of
     ``itertools.product(*ranges[:-1])``, in that lexicographic order, with
     tails = ranges[-1]: the row is the tuples head + (x,) for x in tails,
-    and ``row`` holds the canonical packed zeta value and classification
-    of each, in the order of tails.  One engine, covering the exponents of
-    every range, serves the sweep; it classifies each row once but
-    compares every tuple's value with that classification, raising
-    VanishingMismatchError naming the first tuple that disagrees.  Raises
-    ValueError, at the call, for no ranges, an empty range, or an entry
-    above -1.
+    and ``values`` holds the canonical packed zeta value of each, in the
+    order of tails; ``classification`` gives each one's class.  One engine,
+    covering the exponents of every range, serves the sweep; it decides
+    each row's criterion once but compares every tuple's value with it,
+    raising VanishingMismatchError naming the first tuple that disagrees.
+    Raises ValueError, at the call, for no ranges, an empty range, or an
+    entry above -1.
     """
     if not ranges:
         raise ValueError("index tuple must have depth >= 1")

@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from . import compose, digitlab, mzv, powersum
+from . import compose, digitlab, fqpoly, mzv, powersum
 from .compose import HEAD, TAIL
 from .digitlab import ClassVector, PrimePower
 from .errors import DegenerateCoverError, EmptySetError, FqzetaError, PreconditionError
@@ -914,13 +914,13 @@ def _negative_sweep_pass(
         for row in mzv.sweep_rows(field, [range(smin, 0)] * depth)
     )
     try:
-        for field, head, tails, row in rows:
+        for field, head, tails, values in rows:
             predicted = mzv.classify_zero(head + (tails[0],), field.pp)
             expected = None
-            valuations = canonical_valuations(field, [n for n, _ in row])
-            for x, (n, cls), v in zip(tails, row, valuations):
+            valuations = canonical_valuations(field, values)
+            for x, n, v in zip(tails, values, valuations):
                 if _TRIVIAL not in failures:
-                    if predicted == cls == (mzv.NONZERO if n else mzv.TRIVIAL_ZERO):
+                    if predicted == mzv.classification(len(head) + 1, n):
                         tuples += 1
                         zeros += not n
                     else:
@@ -1024,8 +1024,8 @@ def run_mzv_suite(
         # depth-1 sweep per field shares its engine's power sums
         for q in qs:
             field = field_from_q(q)
-            [(_, tails, row)] = mzv.sweep_rows(field, [range(-goss_kmax, 0)])
-            for s, (n, _) in reversed(list(zip(tails, row))):
+            [(_, tails, values)] = mzv.sweep_rows(field, [range(-goss_kmax, 0)])
+            for s, n in reversed(list(zip(tails, values))):
                 if (not n) != field.pp.is_q_even(-s):
                     raise CheckFailure(f"parity mismatch q={q} s={s}")
         return f"1 <= -s <= {goss_kmax}, vanishing iff q-even"
@@ -1083,7 +1083,8 @@ SUITE_NAMES = ("digits", "compose", "powersum", "mzv", "all")
 def run_suites(suite: str = "all", **overrides) -> list[CheckResult]:
     """Run one named suite (or all), forwarding range overrides that the
     individual suites accept; a field or depth listed twice is checked
-    once, in first-seen order."""
+    once, in first-seen order.  A q that is not a prime power, or too wide
+    for the limbs, raises ValueError before any suite runs."""
 
     def pick(fn, *names):
         kw = {k: v for k, v in overrides.items() if k in names and v is not None}
@@ -1093,6 +1094,8 @@ def run_suites(suite: str = "all", **overrides) -> list[CheckResult]:
     _check_depths(overrides.get("depths") or ())
     if suite in ("mzv", "all"):
         pick(_check_mzv_ranges, "smin", "goss_kmax")
+    for q in overrides.get("qs") or ():
+        fqpoly.field_prime_power(q)
     out: list[CheckResult] = []
     if suite in ("digits", "all"):
         out += pick(run_digit_suite, "qs", "nmax")

@@ -58,12 +58,12 @@ def F9():
 def sweep_tuples():
     """(s, value, classification) of each tuple of ``mzv.sweep_rows(field,
     ranges)`` in sweep order, each row's values read by one
-    ``canonical_polys`` batch."""
+    ``canonical_polys`` batch and classified by ``mzv.classification``."""
 
     def tuples(field, ranges):
-        for head, tails, row in mzv.sweep_rows(field, ranges):
-            polys = canonical_polys(field, [n for n, _ in row])
-            for x, (_, cls), value in zip(tails, row, polys):
-                yield head + (x,), value, cls
+        for head, tails, values in mzv.sweep_rows(field, ranges):
+            polys = canonical_polys(field, values)
+            for x, value in zip(tails, polys):
+                yield head + (x,), value, mzv.classification(len(head) + 1, value)
 
     return tuples

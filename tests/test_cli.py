@@ -15,6 +15,30 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+WIDE_PRIME = str(2**61 - 1)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("powersum", "--q", WIDE_PRIME, "--d", "1", "--s", "-1"),
+        ("mzv", "--q", WIDE_PRIME, "--s", "-1"),
+        ("compositions", "--q", WIDE_PRIME, "--k", "3", "--d", "1"),
+        ("sweep", "--q", f"3,{WIDE_PRIME}", "--smin", "-2"),
+        ("verify", "--suite", "digits", "--q", WIDE_PRIME),
+    ],
+    ids=["powersum", "mzv", "compositions", "sweep", "verify"],
+)
+def test_wide_prime_q_is_refused_at_once(capsys, argv):
+    # 2^61 - 1 is prime and far too wide for a 64-bit limb: every --q path
+    # applies the field-size rule before factoring q, so none trial-divides
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == (
+        f"fqzeta: error: q = {WIDE_PRIME}^1: (p-1)^2*f + p-1 exceeds a 64-bit limb\n"
+    )
+
+
 class TestPowersumCommand:
     def test_formula_text(self, capsys):
         code, out, _ = run(
@@ -149,6 +173,12 @@ class TestPowersumCommand:
         )
         assert code == 1
         assert "limb" in err
+
+    def test_negative_f_is_named(self, capsys):
+        code, out, err = run(
+            capsys, "powersum", "--p", "3", "--f", "-1", "--d", "1", "--s", "-2"
+        )
+        assert (code, out, err) == (1, "", "fqzeta: error: f must be >= 1, got -1\n")
 
     def test_bad_flag_exit_code(self):
         with pytest.raises(SystemExit) as exc:

@@ -36,6 +36,10 @@ class TestPrimePower:
         assert pp.q == 9
         assert PrimePower.from_q(8) == PrimePower(2, 3)
         assert PrimePower.from_q(2) == PrimePower(2, 1)
+        # the prime is the root of q's largest perfect power
+        assert PrimePower.from_q(2**64) == PrimePower(2, 64)
+        assert PrimePower.from_q(65521**5) == PrimePower(65521, 5)
+        assert PrimePower.from_q(4294967291**2) == PrimePower(4294967291, 2)
 
     def test_rejects_non_prime_power(self):
         with pytest.raises(ValueError):
@@ -44,6 +48,8 @@ class TestPrimePower:
             PrimePower.from_q(6)
         with pytest.raises(ValueError):
             PrimePower.from_q(12)
+        with pytest.raises(ValueError, match="36 is not a prime power"):
+            PrimePower.from_q(36)
         with pytest.raises(ValueError):
             PrimePower(3, 0)
 

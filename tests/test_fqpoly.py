@@ -11,6 +11,7 @@ from fqzeta import (
     INF,
     FieldSpec,
     Poly,
+    PrimePower,
     RationalFn,
     field_from_q,
     make_field,
@@ -26,13 +27,22 @@ from fqzeta.fqpoly import (
     canonical_values,
     monic_power_sums,
     poly_gcd,
-    products_fit,
+    product_sums,
 )
 from fqzeta import fqpoly
 from fqzeta.mzv import _threshold_floor
 from fqzeta.powersum import power_sum_valuation
 
 import oracles
+
+
+def _limbs_mod(n, bits, p):
+    """n with each of its bits-wide limbs replaced by its residue mod p."""
+    out, shift = 0, 0
+    while n >> shift:
+        out |= (n >> shift & (1 << bits) - 1) % p << shift
+        shift += bits
+    return out
 
 
 class TestMakeField:
@@ -58,6 +68,24 @@ class TestMakeField:
             make_field(4294967311, 1)
         with pytest.raises(ValueError):
             make_field(3, 2**62)
+
+    def test_size_rule_comes_first(self):
+        # f < 1 is named as such, and a field too wide for the limbs is
+        # refused before p is tested for primality or q is factored
+        with pytest.raises(ValueError, match="f must be >= 1, got -1"):
+            make_field(3, -1)
+        with pytest.raises(ValueError, match="exceeds a 64-bit limb"):
+            make_field(2**61 - 1, 1)
+        for q in (2**61 - 1, (2**61 - 1) ** 2, 2**89 - 1, 3 * 2**70):
+            with pytest.raises(ValueError, match="exceeds a 64-bit limb"):
+                fqpoly.field_prime_power(q)
+        # r^f with f as large as possible: r = p for a prime power
+        assert fqpoly.field_prime_power(2**40) == PrimePower(2, 40)
+        assert fqpoly.field_prime_power(251**2) == PrimePower(251, 2)
+        assert fqpoly.field_prime_power(4294967291) == PrimePower(4294967291, 1)
+        for q, message in ((6, "6 is not a prime power"), (1, "q must be >= 2")):
+            with pytest.raises(ValueError, match=message):
+                fqpoly.field_prime_power(q)
 
     def test_registry_identity(self):
         assert make_field(3, 2) is make_field(3, 2)
@@ -391,8 +419,60 @@ class TestPolyMultiplicationRoutes:
             limbs = [rng.choice((top, top - 1, rng.randrange(top + 1))) for _ in range(n)]
             values.append(int.from_bytes(np.array(limbs, "<u2").tobytes(), "little"))
         got = canonical_values(values, field)
-        assert got == [fqpoly._renorm_packed(n, field) for n in values]
+        assert got == [_limbs_mod(n, 16, 2) for n in values]
         assert got[:4] == [0, 1, 0, 1 << 16]
+
+    def test_packed_sum_canonical_at_two(self):
+        # at q = 2 each add_scaled of a 0/1 polynomial reserves 1 per limb:
+        # 2^16 - 1 of them fill its limbs to 2^16 - 1 with no fold, which
+        # canonical reads through the mask; one more term folds first
+        field = field_from_q(2)
+        a = Poly(field, [1, 0, 1, 1] * 10 + [1]).packed()
+        for count, want in (((1 << 16) - 1, a), (1 << 16, 0), ((1 << 16) + 1, a)):
+            acc = PackedSum(field)
+            for _ in range(count):
+                acc.add_scaled(a, 1, 0)
+            if count < 1 << 16:
+                assert acc.value == a * count
+            assert acc.canonical() == want
+
+    @pytest.mark.parametrize("route", ["plain", "packed"])
+    @pytest.mark.parametrize("q", [2, 8, 13, 27, 257, 65521])
+    def test_product_sums(self, monkeypatch, q, route):
+        # the sum over d of col[d] * factors[d] for zero-prefixed columns,
+        # as a suffix table passes them, and ragged ones, shorter and
+        # longer than the factors, against the schoolbook oracle; one
+        # _products_fit call decides the lot, and refusing it forces the
+        # PackedSum route
+        field = field_from_q(q)
+        rng = random.Random(q)
+        fits, decided = fqpoly._products_fit, []
+
+        def decide(*args):
+            decided.append(route == "plain" and fits(*args))
+            return decided[-1]
+
+        monkeypatch.setattr(fqpoly, "_products_fit", decide)
+
+        def dense(n):
+            return Poly(field, [rng.randrange(q) for _ in range(n)] + [rng.randrange(1, q)])
+
+        zero = Poly.zero(field)
+        factors = [dense(rng.randrange(12)) for _ in range(5)] + [zero]
+        col = [dense(rng.randrange(12)) for _ in range(6)]
+        columns = [[zero] * m + col[m:] for m in range(6)]
+        columns += [col[:2], col + [dense(3)], [], [zero, col[0]]]
+        got = product_sums(
+            field, [[a.packed() for a in c] for c in columns], [b.packed() for b in factors]
+        )
+        expected = []
+        for c in columns:
+            total = zero
+            for a, b in zip(c, factors):
+                total += Poly(field, oracles.naive_poly_mul_codes(a.coeffs, b.coeffs, field))
+            expected.append(total.packed())
+        assert got == expected
+        assert decided == [route == "plain"]
 
     @pytest.mark.parametrize("q", [2, 9, 257])
     def test_canonical_values(self, q):
@@ -423,34 +503,29 @@ class TestPolyMultiplicationRoutes:
     )
     def test_products_fit_at_its_edge(self, q, limb_bits):
         # operands with every coefficient q - 1 put exactly f * (p-1)^2 per
-        # slot pair (p - 1 per term for plain values) on the middle limb of
-        # the middle slot, so the largest admitted count fills that limb
-        # to within one term of the limb width; count equal terms sum to
-        # count * term, which the PackedSum route gives as the
-        # F_p-multiple (count mod p) * term
+        # slot pair on the middle limb of the middle slot, so the largest
+        # admitted count fills that limb to within one term of the limb
+        # width; count equal terms sum to count * term, which the PackedSum
+        # route gives as the F_p-multiple (count mod p) * term
         field = field_from_q(q)
         p, f = field.pp.p, field.pp.f
         slots = 40
         a = Poly(field, [q - 1] * slots).packed()
-
-        def largest(longest):
-            hi = 1
-            while products_fit(field, hi, longest):
-                hi *= 2
-            lo = hi // 2
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                lo, hi = (mid, hi) if products_fit(field, mid, longest) else (lo, mid)
-            return lo
-
-        for longest, term, per_term in ((a, a * a, slots * f * (p - 1) ** 2), (None, a, p - 1)):
-            count = largest(longest)
-            assert count == ((1 << limb_bits) - 1) // per_term
-            assert products_fit(field, count, longest)
-            assert not products_fit(field, count + 1, longest)
-            [plain] = canonical_values([count * term], field)
-            one = PackedSum(field).add(a, 1 if longest is None else a).canonical()
-            assert plain == PackedSum(field).add_scaled(one, count % p, 0).canonical()
+        fits = fqpoly._products_fit
+        hi = 1
+        while fits(field, hi, a):
+            hi *= 2
+        lo = hi // 2
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if fits(field, mid, a) else (lo, mid)
+        count = lo
+        assert count == ((1 << limb_bits) - 1) // (slots * f * (p - 1) ** 2)
+        assert fits(field, count, a)
+        assert not fits(field, count + 1, a)
+        [plain] = canonical_values([count * a * a], field)
+        one = PackedSum(field).add(a, a).canonical()
+        assert plain == PackedSum(field).add_scaled(one, count % p, 0).canonical()
 
     @pytest.mark.parametrize("q", [9, 257])
     def test_packed_sum_add_scaled(self, q):

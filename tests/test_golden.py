@@ -10,7 +10,7 @@ import re
 
 import pytest
 
-from fqzeta import mzv
+from fqzeta import fqpoly
 from fqzeta.cli import main
 
 BANNER = "# fqzeta 0.1.0\n"
@@ -189,7 +189,7 @@ def test_wide_field_sweep_digest(capsys, q, depth, smin, fmt, jobs):
 
 # sha256 of the file `fqzeta sweep --q Q --depth 2 --smin S --out F` writes,
 # taken while every row sum was a PackedSum: these grids hold the rows and
-# suffix tables whose plain sums ``fqpoly.products_fit`` refuses (1 at
+# suffix tables whose plain sums ``fqpoly._products_fit`` refuses (1 at
 # q = 13, 3 at q = 11), so both routes are pinned, and with the helper
 # refusing everything the PackedSum route must write the same bytes.  At
 # q = 257, on 32-bit limbs, the helper admits every row, so the PackedSum
@@ -212,7 +212,7 @@ def test_fallback_sweep_digest(capsys, monkeypatch, tmp_path, q, smin, route):
         return False
 
     if route == "packed":
-        monkeypatch.setattr(mzv, "products_fit", refuse)
+        monkeypatch.setattr(fqpoly, "_products_fit", refuse)
     out = tmp_path / "sweep.csv"
     run(capsys, "sweep", "--q", q, "--depth", "2", "--smin", smin, "--out", str(out))
     assert bool(refused) == (route == "packed")

@@ -143,6 +143,28 @@ class TestClassification:
         with pytest.raises(PreconditionError):
             classify_zero((-2,), q3)
 
+    def test_rule_at_depths_one_and_three(self, F3):
+        # nonzero is NONZERO at any depth; zero is NOT_APPLICABLE at depth 1
+        # and TRIVIAL_ZERO from depth 2 on, for packed values and Polys alike
+        for zero, nonzero in ((0, 5), (Poly.zero(F3), Poly.one(F3))):
+            assert mzv.classification(1, zero) == NOT_APPLICABLE
+            assert mzv.classification(1, nonzero) == NONZERO
+            assert mzv.classification(3, zero) == TRIVIAL_ZERO
+            assert mzv.classification(3, nonzero) == NONZERO
+
+    def test_rule_matches_zeta_negative(self, F3):
+        # -2 is q-even and -1 is not; (-2, -2, -2) is a trivial zero and
+        # (-8, -2, -1) is not
+        for s, cls in (
+            ((-2,), NOT_APPLICABLE),
+            ((-1,), NONZERO),
+            ((-2, -2, -2), TRIVIAL_ZERO),
+            ((-8, -2, -1), NONZERO),
+        ):
+            res = zeta_negative(s, F3)
+            assert res.classification == cls
+            assert mzv.classification(len(s), res.value) == cls
+
 
 class TestZetaValuation:
     def test_example(self, q3):
@@ -361,15 +383,25 @@ class TestRowMismatch:
         self, monkeypatch, capsys, F3, s, forced, cls, message
     ):
         assert zeta_negative(s, F3).classification == cls
-        values = mzv._NegativeEngine.values
+        # the row's own product sum, the one whose columns are the engine's
+        # columns of its tails (a suffix table's are built per call), gives
+        # the forced value at s before the row's check reads it
+        row, sums, current = mzv._NegativeEngine.row, mzv.product_sums, []
 
-        def wrong_on_one(engine, head, tails):
-            out = values(engine, head, tails)
-            if (engine.field.pp.q, head) == (3, s[:-1]) and s[-1] in tails:
+        def in_row(engine, head, tails):
+            current[:] = [engine, head, tails]
+            return row(engine, head, tails)
+
+        def wrong_on_one(field, columns, factors):
+            out = sums(field, columns, factors)
+            engine, head, tails = current
+            own = [engine._columns[-x] for x in tails]
+            if (field.pp.q, head) == (3, s[:-1]) and list(map(id, columns)) == list(map(id, own)):
                 out[list(tails).index(s[-1])] = forced
             return out
 
-        monkeypatch.setattr(mzv._NegativeEngine, "values", wrong_on_one)
+        monkeypatch.setattr(mzv._NegativeEngine, "row", in_row)
+        monkeypatch.setattr(mzv, "product_sums", wrong_on_one)
         with pytest.raises(VanishingMismatchError) as exc:
             list(mzv.sweep_rows(F3, [range(-3, 0)] * 2))
         assert f"zeta{s} {message}" in str(exc.value)

@@ -124,10 +124,7 @@ def _changed_at(monkeypatch, q, s, change):
     def changed(engine, head, tails):
         got = row(engine, head, tails)
         if engine.field.pp.q == q and head == s[:-1]:
-            got = [
-                (change(engine.field, n) if x == s[-1] else n, c)
-                for x, (n, c) in zip(tails, got)
-            ]
+            got = [change(engine.field, n) if x == s[-1] else n for x, n in zip(tails, got)]
         return got
 
     monkeypatch.setattr(mzv._NegativeEngine, "row", changed)
@@ -247,7 +244,7 @@ def test_parity_mismatch_names_q_and_s(monkeypatch, reference):
     def wrong_at_two(engine, head, tails):
         got = row(engine, head, tails)
         if engine.field.pp.q == 3 and not head:
-            got = [(1, c) if x in (-4, -6) else (n, c) for x, (n, c) in zip(tails, got)]
+            got = [1 if x in (-4, -6) else n for x, n in zip(tails, got)]
         return got
 
     monkeypatch.setattr(mzv._NegativeEngine, "row", wrong_at_two)
