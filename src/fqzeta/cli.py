@@ -25,7 +25,7 @@ from .errors import (
     ResourceLimitError,
     VanishingMismatchError,
 )
-from .fqpoly import FieldSpec, canonical_texts, field_from_q, make_field
+from .fqpoly import FieldSpec, _field_prime_power, canonical_texts, field_from_q, make_field
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -283,15 +283,15 @@ def _cmd_sweep(args) -> int:
     qs = [int(x) for x in args.q.split(",")] if args.q else None
     if not qs:
         raise PreconditionError("--q is required (comma-separated prime powers)")
-    # every q is checked, in the order given, before the ranges
-    fields = {q: field_from_q(q) for q in qs}
+    for q in qs:
+        _field_prime_power(q)
     if args.smin > args.smax or args.smax > -1:
         raise PreconditionError("need --smin <= --smax <= -1")
     if args.jobs < 1:
         raise PreconditionError("--jobs must be at least 1")
     if args.depth < 1:
         raise PreconditionError("index tuple must have depth >= 1")
-    fields = dict(sorted(fields.items()))
+    fields = {q: field_from_q(q) for q in sorted(qs)}
     box = [range(args.smin, args.smax + 1)] * args.depth
     # each sweep has its own engine and its writer's memo of formatted values
     writer = _sweep_records if args.format == "json" else _sweep_csv

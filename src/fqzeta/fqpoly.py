@@ -45,7 +45,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .digitlab import CACHE_LIMIT, PrimePower, _perfect_power
+from .digitlab import CACHE_LIMIT, PrimePower, _is_prime, _perfect_power
 
 __all__ = [
     "INF",
@@ -60,7 +60,6 @@ __all__ = [
     "product_sums",
     "make_field",
     "field_from_q",
-    "field_prime_power",
     "monic_polys",
     "monic_power_sums",
     "poly_gcd",
@@ -381,17 +380,21 @@ def _check_size(p: int, f: int) -> None:
         raise ValueError(f"q = {p}^{f}: (p-1)^2*f + p-1 exceeds a 64-bit limb")
 
 
-def field_prime_power(q: int) -> PrimePower:
+def _field_prime_power(q: int) -> PrimePower:
     """``PrimePower.from_q(q)`` after ``make_field``'s size rule, applied to
     q = r^f with f largest (r = p for a prime power) before r is tested for
     primality, so a q too wide for the limbs is refused at once."""
-    if q >= 2:
-        _check_size(*_perfect_power(q))
-    return PrimePower.from_q(q)
+    if q < 2:
+        raise ValueError(f"q must be >= 2, got {q}")
+    r, f = _perfect_power(q)
+    _check_size(r, f)
+    if not _is_prime(r):
+        raise ValueError(f"{q} is not a prime power")
+    return PrimePower(r, f)
 
 
 def field_from_q(q: int) -> FieldSpec:
-    pp = field_prime_power(q)
+    pp = _field_prime_power(q)
     return make_field(pp.p, pp.f)
 
 
@@ -503,9 +506,7 @@ def product_sums(
     canonical packed values, d running while both last, renormalized by one
     ``canonical_values`` fold: plain ints when ``_products_fit`` admits
     len(factors) terms and the longest factor, else ``PackedSum``s."""
-    if not factors:
-        return [0] * len(columns)
-    if _products_fit(field, len(factors), max(factors)):
+    if _products_fit(field, len(factors), max(factors, default=0)):
         sums = [sum(map(mul, col, factors)) for col in columns]
     else:
         sums = []
@@ -533,8 +534,6 @@ def canonical_values(values: Sequence[int], field: FieldSpec) -> list[int]:
         return [n & mask for n in values]
     # every value padded to the longest one's slots, one fold over the lot
     nbytes = slots * fs._slot_bits // 8
-    if len(values) == 1:  # as PackedSum.canonical folds, with no batch to cut
-        return [int.from_bytes(_fold_limbs(values[0].to_bytes(nbytes, "little"), fs), "little")]
     raw = memoryview(_fold_limbs(b"".join([n.to_bytes(nbytes, "little") for n in values]), fs))
     return [
         int.from_bytes(raw[i : i + nbytes], "little") for i in range(0, len(raw), nbytes)

@@ -1095,7 +1095,7 @@ def run_suites(suite: str = "all", **overrides) -> list[CheckResult]:
     if suite in ("mzv", "all"):
         pick(_check_mzv_ranges, "smin", "goss_kmax")
     for q in overrides.get("qs") or ():
-        fqpoly.field_prime_power(q)
+        fqpoly._field_prime_power(q)
     out: list[CheckResult] = []
     if suite in ("digits", "all"):
         out += pick(run_digit_suite, "qs", "nmax")

@@ -78,14 +78,14 @@ class TestMakeField:
             make_field(2**61 - 1, 1)
         for q in (2**61 - 1, (2**61 - 1) ** 2, 2**89 - 1, 3 * 2**70):
             with pytest.raises(ValueError, match="exceeds a 64-bit limb"):
-                fqpoly.field_prime_power(q)
+                fqpoly._field_prime_power(q)
         # r^f with f as large as possible: r = p for a prime power
-        assert fqpoly.field_prime_power(2**40) == PrimePower(2, 40)
-        assert fqpoly.field_prime_power(251**2) == PrimePower(251, 2)
-        assert fqpoly.field_prime_power(4294967291) == PrimePower(4294967291, 1)
+        assert fqpoly._field_prime_power(2**40) == PrimePower(2, 40)
+        assert fqpoly._field_prime_power(251**2) == PrimePower(251, 2)
+        assert fqpoly._field_prime_power(4294967291) == PrimePower(4294967291, 1)
         for q, message in ((6, "6 is not a prime power"), (1, "q must be >= 2")):
             with pytest.raises(ValueError, match=message):
-                fqpoly.field_prime_power(q)
+                fqpoly._field_prime_power(q)
 
     def test_registry_identity(self):
         assert make_field(3, 2) is make_field(3, 2)

@@ -188,12 +188,12 @@ def test_wide_field_sweep_digest(capsys, q, depth, smin, fmt, jobs):
 
 
 # sha256 of the file `fqzeta sweep --q Q --depth 2 --smin S --out F` writes,
-# taken while every row sum was a PackedSum: these grids hold the rows and
-# suffix tables whose plain sums ``fqpoly._products_fit`` refuses (1 at
-# q = 13, 3 at q = 11), so both routes are pinned, and with the helper
-# refusing everything the PackedSum route must write the same bytes.  At
-# q = 257, on 32-bit limbs, the helper admits every row, so the PackedSum
-# route is reached only by refusing; the digest is the plain route's, and
+# taken while every row sum was a PackedSum: ``fqpoly._products_fit``
+# refuses the plain sum of one q = 11 row or suffix table, so the plain
+# q = 11 run takes both routes, and with the helper refusing everything the
+# PackedSum route must write the same bytes.  At q = 13, and at q = 257 on
+# 32-bit limbs, the helper admits every sum, so the PackedSum route is
+# reached only by refusing; at q = 257 the digest is the plain route's, and
 # -s_1 reaches 256, 512 and 513, the rows that are not all zero
 FALLBACK_SWEEP_SHA256 = {
     ("13", "-200"): "5f9fc59d470e907e170d43433ece79cf981ded81c27ee820aa979042ca249c48",
