@@ -11,11 +11,15 @@ output, and parallel sweeps produce output identical to --jobs 1.
 from __future__ import annotations
 
 import argparse
+import io
+import itertools
 import json
 import os
+import shutil
 import sys
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import __version__, compose, mzv, powersum, verify
 from .errors import (
@@ -64,14 +68,47 @@ def _add_output_flags(sp, choices=("text", "json"), default="text") -> None:
     )
 
 
-def _emit(text: Union[str, list[str]], out: Optional[str]) -> None:
-    """Write text, or a list of strings in order, to the file out or stdout."""
-    parts = [text] if isinstance(text, str) else text
-    if out is None:
-        sys.stdout.writelines(parts)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.writelines(parts)
+def _emit(parts: Iterable[str], out: Optional[str]) -> None:
+    """Write the strings of parts, in order, to the file out or to stdout.
+
+    The one output route of every command.  Each part goes to an unnamed
+    temporary file in the temporary directory (``TMPDIR``) as it is
+    produced, so the process's memory does not grow with the output.  The
+    spool needs that much free space there, and where ``TMPDIR`` is a
+    memory file system (tmpfs) its pages are RAM: point ``TMPDIR`` at disk
+    for large sweeps.  The destination is opened only after the last part,
+    and then gets the spool's contents: nothing reaches it before the last
+    row, so an error raised while the parts are made (a sweep's mismatch,
+    a resource guard) leaves stdout empty and out untouched.
+    """
+    # newline="" keeps the CSV's \r\n through the spool
+    with io.TextIOWrapper(tempfile.TemporaryFile(), encoding="utf-8", newline="") as spool:
+        spool.writelines(parts)
+        spool.seek(0)
+        if out is None:
+            shutil.copyfileobj(spool, sys.stdout)
+        else:
+            with open(out, "wb") as fh:
+                shutil.copyfileobj(spool.buffer, fh)
+
+
+# records per json encode call: one call per record costs about a third
+# more time than one call for the whole list; a batch of this size does not
+_JSON_BATCH = 256
+
+
+def _json_list(records: Iterable) -> Iterator[str]:
+    """``json.dumps(list(records), indent=2) + "\n"``, made _JSON_BATCH
+    records at a time."""
+    encode = json.JSONEncoder(indent=2).encode
+    it = iter(records)
+    sep = "[\n"
+    for batch in iter(lambda: list(itertools.islice(it, _JSON_BATCH)), []):
+        # strip the batch's own "[\n" and "\n]"; its records are already
+        # indented one level, as they are in the whole list
+        yield sep + encode(batch)[2:-2]
+        sep = ",\n"
+    yield "[]\n" if sep == "[\n" else "\n]\n"
 
 
 def _header_lines(fields: Sequence[FieldSpec], banner: bool) -> list[str]:
@@ -110,7 +147,7 @@ def _cmd_powersum(args) -> int:
         payload = [r.to_json_dict() for r in results]
         if len(results) == 2:
             payload.append({"agreement": agree})
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit([json.dumps(payload, indent=2) + "\n"], args.out)
     else:
         lines = _header_lines([field], not args.no_banner)
         for r in results:
@@ -120,7 +157,7 @@ def _cmd_powersum(args) -> int:
             )
         if len(results) == 2:
             lines.append(f"agreement: {'AGREE' if agree else 'DISAGREE'}")
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(["\n".join(lines) + "\n"], args.out)
     return EXIT_OK if agree else EXIT_MISMATCH
 
 
@@ -144,7 +181,7 @@ def _cmd_mzv(args) -> int:
     else:
         res = mzv.zeta_mixed(s, field, d_max=args.dmax)
     if args.format == "json":
-        _emit(json.dumps(res.to_json_dict(), indent=2) + "\n", args.out)
+        _emit([json.dumps(res.to_json_dict(), indent=2) + "\n"], args.out)
     else:
         lines = _header_lines([field], not args.no_banner)
         stext = ", ".join(str(x) for x in res.index.s)
@@ -153,7 +190,7 @@ def _cmd_mzv(args) -> int:
             f"valuation={res.valuation}"
             f"  classification={res.classification}  exact={res.exact}"
         )
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(["\n".join(lines) + "\n"], args.out)
     return EXIT_OK
 
 
@@ -169,26 +206,16 @@ def _cmd_compositions(args) -> int:
         raise PreconditionError("give exactly one of --k (head-free) or --N (tail-free)")
     if args.max_results < 0:
         raise PreconditionError("--max-results must be non-negative")
-    what = args.what
-    as_json = args.format == "json"
-    # JSON records or text lines, never both: a long list is built once
-    rows: list = []
-
-    def comp_rows(comps: Sequence[compose.Composition]) -> None:
-        if as_json:
-            rows.extend({"parts": list(c.parts), "weight": c.weight} for c in comps)
-        else:
-            rows.extend(f"{c.parts} weight={c.weight}\n" for c in comps)
-
+    what, empty = args.what, False
     try:
         if args.k is not None:
             k, d = args.k, args.d
             if what == "list":
-                comp_rows(compose.enumerate_head_free(k, d, pp, max_results=args.max_results))
+                comps = compose.enumerate_head_free(k, d, pp, max_results=args.max_results)
             elif what == "modest":
-                comp_rows([compose.modest(k, d, pp, compose.HEAD)])
+                comps = [compose.modest(k, d, pp, compose.HEAD)]
             elif what == "greedy":
-                comp_rows([compose.greedy(k, d, pp)])
+                comps = [compose.greedy(k, d, pp)]
             else:
                 raise PreconditionError(
                     f"--what {what} needs --N (tail-free convention)"
@@ -196,27 +223,32 @@ def _cmd_compositions(args) -> int:
         else:
             n, d = args.N, args.d
             if what == "list":
-                comp_rows(compose.enumerate_tail_free(n, d, pp, max_results=args.max_results))
+                comps = compose.enumerate_tail_free(n, d, pp, max_results=args.max_results)
             elif what == "modest":
-                comp_rows([compose.modest(n, d, pp, compose.TAIL)])
+                comps = [compose.modest(n, d, pp, compose.TAIL)]
             elif what == "optimal":
-                comp_rows(compose.optimal_set(n, d, pp))
+                comps = compose.optimal_set(n, d, pp)
             elif what == "matrices":
-                for m in compose.valid_class_matrices(n, d, pp):
-                    mrows = [list(r) for r in m.rows()]
-                    rows.append({"rows": mrows} if as_json else f"{mrows}\n")
+                comps = compose.valid_class_matrices(n, d, pp)
             else:
                 raise PreconditionError(
                     f"--what {what} needs --k (head-free convention)"
                 )
     except EmptySetError:
-        rows = [] if as_json else ["(empty set)\n"]
+        comps, empty = (), True
 
-    if as_json:
-        _emit(json.dumps(rows, indent=2) + "\n", args.out)
+    # each record or line is made as it is written
+    if what == "matrices":
+        records = ({"rows": [list(r) for r in m.rows()]} for m in comps)
+        lines = (f"{rec['rows']}\n" for rec in records)
+    else:
+        records = ({"parts": list(c.parts), "weight": c.weight} for c in comps)
+        lines = (f"{c.parts} weight={c.weight}\n" for c in comps)
+    if args.format == "json":
+        _emit(_json_list(records), args.out)
     else:
         head = [line + "\n" for line in _header_lines([field], not args.no_banner)]
-        _emit(head + rows, args.out)
+        _emit(itertools.chain(head, ["(empty set)\n"] if empty else lines), args.out)
     return EXIT_OK
 
 
@@ -226,10 +258,17 @@ def _cmd_compositions(args) -> int:
 
 _CSV_HEADER = "q,p,f,s_tuple,depth,value,valuation,classification,exact\r\n"
 
+# a sweep writer's memo of formatted values is cleared whole when it holds
+# this many before a row, so it stays small however long the sweep
+_MEMO_VALUES = 1024
+
 
 def _new_texts(field: FieldSpec, shown: dict, values: list[int]):
     """(value, (text, valuation)) for each distinct value of a row that is
-    not in shown yet, read as one ``canonical_texts`` batch."""
+    not in shown yet, read as one ``canonical_texts`` batch.  Clears shown
+    first when it holds ``_MEMO_VALUES`` values or more."""
+    if len(shown) >= _MEMO_VALUES:
+        shown.clear()
     new = [n for n in dict.fromkeys(values) if n not in shown]
     return zip(new, canonical_texts(field, new))
 
@@ -239,10 +278,10 @@ def _sweep_csv(field: FieldSpec, rows) -> Iterator[str]:
 
     Within a sweep the depth is fixed, so the classification is a function
     of the value, and the tail `depth,value,valuation,classification,exact`
-    is formatted once per distinct value.  The tail and s_tuple hold no
-    quote or line break, so each field is quoted, as by the csv module,
-    exactly when it has a comma: s_tuple at depth >= 2, the value at f > 1
-    when it has a coordinate vector.
+    is formatted once per value that is not in the bounded memo.  The tail
+    and s_tuple hold no quote or line break, so each field is quoted, as by
+    the csv module, exactly when it has a comma: s_tuple at depth >= 2, the
+    value at f > 1 when it has a coordinate vector.
     """
     pp = field.pp
     shown: dict[int, str] = {}
@@ -262,7 +301,7 @@ def _sweep_csv(field: FieldSpec, rows) -> Iterator[str]:
 
 def _sweep_records(field: FieldSpec, rows) -> Iterator[dict]:
     """The JSON records of one sweep; text and valuation are built once
-    per distinct value."""
+    per value that is not in the bounded memo."""
     shown: dict[int, tuple[str, object]] = {}
     for head, tails, values in rows:
         shown.update(_new_texts(field, shown, values))
@@ -295,27 +334,27 @@ def _cmd_sweep(args) -> int:
     box = [range(args.smin, args.smax + 1)] * args.depth
     # each sweep has its own engine and its writer's memo of formatted values
     writer = _sweep_records if args.format == "json" else _sweep_csv
+
+    def emit(chunks: Iterable) -> None:
+        # each chunk is written as it arrives; exhausting chunks runs the sweeps
+        items = itertools.chain.from_iterable(chunks)
+        if args.format == "json":
+            _emit(_json_list(items), args.out)
+        else:
+            header = _header_lines(list(fields.values()), not args.no_banner)
+            head = [line + "\n" for line in header] + [_CSV_HEADER]
+            _emit(itertools.chain(head, items), args.out)
+
     if args.jobs == 1:
         # one sweep per q, formatted as it is evaluated
-        chunks = [writer(field, mzv.sweep_rows(field, box)) for field in fields.values()]
+        emit(writer(field, mzv.sweep_rows(field, box)) for field in fields.values())
     else:
-        # one sweep per (q, s_1), evaluated and formatted in a worker
+        # one sweep per (q, s_1), evaluated and formatted in a worker, and
+        # written in task order
         tasks = [(writer, q, [(s1,), *box[1:]]) for q in fields for s1 in box[0]]
         workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_sweep_task, tasks, chunksize=4))
-
-    if args.format == "json":
-        records = [rec for chunk in chunks for rec in chunk]
-        _emit(json.dumps(records, indent=2) + "\n", args.out)
-    else:
-        # every row is built before the output is opened
-        header = _header_lines(list(fields.values()), not args.no_banner)
-        parts = [line + "\n" for line in header]
-        parts.append(_CSV_HEADER)
-        for chunk in chunks:
-            parts.extend(chunk)
-        _emit(parts, args.out)
+            emit(pool.map(_sweep_task, tasks, chunksize=4))
     return EXIT_OK
 
 
@@ -338,12 +377,9 @@ def _cmd_verify(args) -> int:
         depths=tuple(int(x) for x in args.depths.split(",")) if args.depths else None,
     )
     results = verify.run_suites(args.suite, **overrides)
-    for r in results:
-        sys.stdout.write(r.line() + "\n")
     failed = [r for r in results if not r.passed]
-    sys.stdout.write(
-        f"{len(results) - len(failed)}/{len(results)} checks passed\n"
-    )
+    summary = f"{len(results) - len(failed)}/{len(results)} checks passed\n"
+    _emit(itertools.chain((r.line() + "\n" for r in results), [summary]), None)
     return EXIT_OK if not failed else EXIT_MISMATCH
 
 

@@ -217,7 +217,7 @@ class _NegativeEngine:
     sums over d of S(d, k) * T(d + 1), renormalized by one fold, with the
     choice of plain ints or ``PackedSum`` left to ``fqpoly``.  Values leave
     the engine canonical packed; turning them into polynomials or text, and
-    into a ``classification``, is the caller's, once per distinct value.
+    into a ``classification``, is the caller's.
     """
 
     def __init__(self, field: FieldSpec, ks: Iterable[int]):

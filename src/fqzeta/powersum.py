@@ -113,7 +113,11 @@ def power_sum_packed(d: int, k: int, field: FieldSpec) -> int:
     product of C(a + 2, 2) over the base-p digits a of k, exceeds
     FORMULA_SPLIT_LIMIT, so a warm store changes no outcome.  A call that
     finds the store holding more than STORE_BITS clears it whole first.
+    S_0 = 1 is returned at once: at d = 0 the bound cannot trip, and the
+    Lucas tables would cost time linear in the largest digit of k.
     """
+    if d == 0:
+        return 1
     p, qm = field.pp.p, field.pp.q - 1
     digits = base_digits(k, p)
     work = prod(a + 1 for a in digits) + (d - 1) * prod(comb(a + 2, 2) for a in digits)

@@ -1,7 +1,13 @@
+import contextlib
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -312,7 +318,7 @@ class TestSweepCommand:
         assert f1.read_bytes() == f2.read_bytes()
 
     def test_mismatch_writes_nothing(self, capsys, monkeypatch, tmp_path):
-        # every row is built before the output file is opened
+        # the output file is opened only after the last row
         from fqzeta import mzv
 
         monkeypatch.setattr(mzv, "_trivial_criterion", lambda head, q: True)
@@ -324,6 +330,131 @@ class TestSweepCommand:
         assert code == 2
         assert "trivial-zero criterion holds" in err
         assert not out.exists()
+
+    # the last row of the last q: s = (-1, x) at q = 3
+    LAST_ROW_ARGV = ("sweep", "--q", "2,3", "--depth", "2", "--smin", "-4")
+
+    @pytest.mark.parametrize("target", ["stdout", "new", "existing"])
+    def test_mismatch_in_last_row_writes_nothing(
+        self, capsys, monkeypatch, tmp_path, target
+    ):
+        # every row but the last is made, and spooled, before the mismatch
+        from fqzeta import mzv
+
+        criterion = mzv._trivial_criterion
+
+        def flipped(head, q):
+            return criterion(head, q) != (head == (-1,) and q.q == 3)
+
+        monkeypatch.setattr(mzv, "_trivial_criterion", flipped)
+        spool_dir = tmp_path / "spool"
+        spool_dir.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(spool_dir))
+        out = tmp_path / "sweep.csv"
+        if target == "existing":
+            out.write_bytes(b"earlier output\n")
+            out.chmod(0o640)
+        argv = self.LAST_ROW_ARGV + (() if target == "stdout" else ("--out", str(out)))
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout) == (2, "")
+        assert "zeta(-1, -4) = 0 but no structural index forces it" in err
+        assert list(spool_dir.iterdir()) == []
+        if target == "existing":
+            assert out.read_bytes() == b"earlier output\n"
+            assert out.stat().st_mode & 0o777 == 0o640
+            assert sorted(tmp_path.iterdir()) == sorted([spool_dir, out])
+        else:
+            assert list(tmp_path.iterdir()) == [spool_dir]
+
+    def test_new_out_file_mode(self, capsys, tmp_path):
+        out = tmp_path / "sweep.csv"
+        with open(tmp_path / "reference", "w"):
+            pass
+        code, _, _ = run(capsys, *self.LAST_ROW_ARGV, "--out", str(out))
+        assert code == 0
+        assert out.stat().st_mode == (tmp_path / "reference").stat().st_mode
+
+    def test_text_only_stdout(self, capsys, tmp_path):
+        # a stdout with no byte buffer gets the text, \r\n kept
+        out = tmp_path / "sweep.csv"
+        assert main([*self.LAST_ROW_ARGV, "--out", str(out)]) == 0
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(list(self.LAST_ROW_ARGV)) == 0
+        assert buf.getvalue().encode() == out.read_bytes()
+        assert capsys.readouterr().out == ""
+
+    def test_process_stdout_bytes(self, tmp_path):
+        # a process's own text stdout, a pipe here, gets the bytes --out
+        # writes, \r\n kept
+        out = tmp_path / "sweep.csv"
+        assert main([*self.LAST_ROW_ARGV, "--out", str(out)]) == 0
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fqzeta", *self.LAST_ROW_ARGV],
+            env=env, capture_output=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == out.read_bytes()
+
+    def test_jobs_chunks_written_while_pool_open(self, capsys, monkeypatch, tmp_path):
+        # a stand-in pool maps lazily in this process; the output is
+        # complete before the pool is left, so chunks are consumed as the
+        # workers would make them, not collected first
+        seen = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                seen.append(out.read_bytes() if out.exists() else None)
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return (fn(task) for task in tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        one, out = tmp_path / "one.csv", tmp_path / "two.csv"
+        assert main([*self.LAST_ROW_ARGV, "--out", str(one)]) == 0
+        assert main([*self.LAST_ROW_ARGV, "--out", str(out), "--jobs", "2"]) == 0
+        assert seen == [one.read_bytes()]
+        assert out.read_bytes() == one.read_bytes()
+
+    def test_peak_memory_bounded(self, tmp_path):
+        # 216,000 tuples and 61 MB of CSV; the whole output held in memory
+        # peaked near 194 MB.  The child reads its own high-water mark
+        # (VmHWM): ru_maxrss after exec also counts the parent's peak.
+        if not Path("/proc/self/status").exists():
+            pytest.skip("needs /proc/self/status")
+        child = (
+            "import sys\n"
+            "from fqzeta.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "with open('/proc/self/status') as fh:\n"
+            "    hwm = next(l for l in fh if l.startswith('VmHWM:')).split()[1]\n"
+            "print(code, int(hwm) / 1024)\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--q", "2", "--depth", "3", "--smin", "-60", "--out", str(out)]
+        proc = subprocess.run(
+            [sys.executable, "-c", child, *argv],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, peak_mb = proc.stdout.split()
+        assert code == "0"
+        assert out.stat().st_size > 50_000_000
+        assert float(peak_mb) < 100, peak_mb
 
     def test_json_records(self, capsys):
         code, out, _ = run(

@@ -10,7 +10,7 @@ import re
 
 import pytest
 
-from fqzeta import fqpoly
+from fqzeta import cli, fqpoly
 from fqzeta.cli import main
 
 BANNER = "# fqzeta 0.1.0\n"
@@ -102,6 +102,25 @@ class TestReadmeExamples:
         assert out == json.dumps(payload, indent=2) + "\n"
 
 
+@pytest.fixture
+def memo(request, monkeypatch):
+    """The sweep writers' memo bound: the default, or 1, which clears the
+    memo before every row so that every value is formatted again."""
+    if request.param is not None:
+        monkeypatch.setattr(cli, "_MEMO_VALUES", request.param)
+
+
+def sweep_runs(jobs):
+    """Each sweep digest is taken in one process, in worker processes, and
+    in one process with a memo of one value: the bound changes no byte."""
+    return pytest.mark.parametrize(
+        "jobs, memo",
+        [("1", None), (jobs, None), ("1", 1)],
+        ids=["1", jobs, "1-memo1"],
+        indirect=["memo"],
+    )
+
+
 # sha256 of the stdout of `fqzeta sweep --q 2,3 --depth 2 --smin -20`
 SWEEP_SHA256 = {
     "csv": "addd00fafb57da025c189688d06d145ba9c4713878264ac5edb1d455fdc1565d",
@@ -109,9 +128,9 @@ SWEEP_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("jobs", ["1", "4"])
+@sweep_runs("4")
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_readme_sweep_digest(capsys, fmt, jobs):
+def test_readme_sweep_digest(capsys, fmt, jobs, memo):
     out = run(
         capsys,
         "sweep", "--q", "2,3", "--depth", "2", "--smin", "-20",
@@ -128,9 +147,9 @@ DEPTH3_SWEEP_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
+@sweep_runs("2")
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_depth_three_sweep_digest(capsys, fmt, jobs):
+def test_depth_three_sweep_digest(capsys, fmt, jobs, memo):
     out = run(
         capsys,
         "sweep", "--q", "2,3,9", "--depth", "3", "--smin", "-12",
@@ -151,9 +170,9 @@ F2_SWEEP_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
+@sweep_runs("2")
 @pytest.mark.parametrize("depth, smin, fmt", sorted(F2_SWEEP_SHA256))
-def test_extension_field_sweep_digest(capsys, depth, smin, fmt, jobs):
+def test_extension_field_sweep_digest(capsys, depth, smin, fmt, jobs, memo):
     out = run(
         capsys,
         "sweep", "--q", "4,9", "--depth", depth, "--smin", smin,
@@ -176,9 +195,9 @@ WIDE_SWEEP_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
+@sweep_runs("2")
 @pytest.mark.parametrize("q, depth, smin, fmt", sorted(WIDE_SWEEP_SHA256))
-def test_wide_field_sweep_digest(capsys, q, depth, smin, fmt, jobs):
+def test_wide_field_sweep_digest(capsys, q, depth, smin, fmt, jobs, memo):
     out = run(
         capsys,
         "sweep", "--q", q, "--depth", depth, "--smin", smin,

@@ -34,6 +34,17 @@ class TestFormula:
         assert res.value == Poly.one(F3)
         assert res.valuation == 0
 
+    def test_d0_reads_no_digits(self, monkeypatch):
+        # S_0 = 1 comes before the digits of k, the work bound and the Lucas
+        # tables, which would take time linear in the largest digit
+        def refused(*args):
+            raise AssertionError("base_digits called at d = 0")
+
+        monkeypatch.setattr(powersum, "base_digits", refused)
+        field = make_field(1000003, 1)
+        assert powersum.power_sum_packed(0, 1000002, field) == 1
+        assert power_sum_formula(0, -1000002, field).value == Poly.one(field)
+
     def test_rejects_nonnegative_s(self, F3):
         with pytest.raises(ValueError):
             power_sum_formula(1, 0, F3)
