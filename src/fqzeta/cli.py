@@ -18,6 +18,7 @@ import os
 import shutil
 import sys
 import tempfile
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -318,6 +319,19 @@ def _sweep_task(task: tuple) -> list:
     return list(writer(field, mzv.sweep_rows(field, ranges)))
 
 
+def _in_order(pool, fn, tasks: Sequence, window: int) -> Iterator:
+    """fn(task) for each task, run on the pool and yielded in task order,
+    with at most ``window`` tasks submitted and not yet yielded, so that
+    finished results do not pile up ahead of the one being written."""
+    pending: deque = deque()
+    for task in tasks:
+        if len(pending) == window:
+            yield pending.popleft().result()
+        pending.append(pool.submit(fn, task))
+    while pending:
+        yield pending.popleft().result()
+
+
 def _cmd_sweep(args) -> int:
     qs = [int(x) for x in args.q.split(",")] if args.q else None
     if not qs:
@@ -354,7 +368,7 @@ def _cmd_sweep(args) -> int:
         tasks = [(writer, q, [(s1,), *box[1:]]) for q in fields for s1 in box[0]]
         workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            emit(pool.map(_sweep_task, tasks, chunksize=4))
+            emit(_in_order(pool, _sweep_task, tasks, 2 * workers))
     return EXIT_OK
 
 

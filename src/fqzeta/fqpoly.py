@@ -24,11 +24,13 @@ sums over one buffer (at p = 2, f = 1 one AND with a low-bit mask), for
 ``canonical_polys`` and ``canonical_texts`` read canonical ones back by one
 frombuffer, with no fold.
 ``monic_power_sums`` gives the brute-force sums of a^k over the monics of
-one degree: it steps the running powers of a block of monics as numpy limb
-arrays, one per F_p coordinate, under the same rule on a tracked limb
+one degree, regrouped by the scaling action of F_q^x: it steps the running
+powers of a block of a fundamental set of about q^(d-1) monics as numpy
+limb arrays, one per F_p coordinate, under the same rule on a tracked limb
 bound, reducing mod p by integer division (a - p * (a // p)) and taking
-each step's column sums in twice the limb width (at most 64 bits), and
-packs only the sums.  ``make_field`` accepts exactly the fields with
+each step's column sums per weight in twice the limb width (at most 64
+bits); the weighted sums are projected onto the exponents dk mod q - 1,
+and only they are packed.  ``make_field`` accepts exactly the fields with
 (p-1)^2 * f + p - 1 < 2^64, each exact on every packed path, and
 ``field_from_q`` applies that rule before it factors q.  The schoolbook
 route is kept for small operands and serves as the independent reference
@@ -39,6 +41,7 @@ is exact; there is no floating point anywhere in this module.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 from operator import mul
 from typing import Iterator, Optional, Sequence
@@ -605,46 +608,135 @@ def monic_power_sums(field: FieldSpec, d: int, kmax: int) -> list[int]:
     """Canonical packed sum of a^k over the q^d monic a of degree d, for
     each k = 0 .. kmax; a sum that is 0 is the int 0.
 
-    The monics are taken in blocks.  A block keeps its running powers a^k
-    as limb arrays in the field's limb width, one per F_p coordinate, with
-    a row per slot and a column per monic, for the whole sweep over k; no
-    power becomes a Python int.  A step from a^(k-1) to a^k shifts by d
-    slots for t^d and, for each lower coefficient b_j, adds the f^2
-    products of coordinate arrays with the entries of b_j's multiplication
-    matrix (the x-fold built in).  Overflow follows the ``PackedSum`` rule
-    on a tracked limb bound: a step multiplies the bound by at most
-    1 + d * f * (p-1), so the step reduces mod p once where the next step
-    could pass the limb width (or the column sums their width), and reduces
-    between coefficients where even a reduced power could not take a whole
-    step.  A reduction is a - p * (a // p), the quotient in a scratch row.
-    The block's part of each sum is a column sum in twice the limb width,
-    capped at 64 bits (uint32 for 16-bit limbs, else uint64).  Each array
-    holds at most _POWER_BLOCK_LIMBS limbs (at least one monic), and the
-    sums are laid into packed limbs once, at the end.
+    The sums are taken over a fundamental set F of the scaling action
+    (lambda . a)(t) = lambda^(-d) * a(lambda * t) of F_q^x on the monics
+    (``_scaling_groups``): t^d, and for each j < d the monics whose highest
+    lower coefficient is b_j, with b_j in a fixed set of g = gcd(d - j, q - 1)
+    coset representatives of the (d - j)-th powers.  Coefficient i of
+    (lambda . a)^k is lambda^(i - dk) times coefficient i of a^k, every other
+    monic is lambda . a for exactly g pairs (lambda, a), and the sum over
+    lambda of lambda^e is -1 in F_p when q - 1 divides e and 0 otherwise, so
+
+        S_d(k) = P_k(t^(dk) - sum over a in F, a != t^d, of a^k / g(a)),
+
+    where P_k keeps the coefficients at t^i with i = dk mod q - 1.  F has
+    1 + sum over j < d of gcd(d - j, q - 1) * q^j monics, about q^(d-1).
+    Each monic of F carries the weight -1/g mod p (1 for t^d); the sums of
+    one weight are kept apart and weighted once, reduced, at the end, and
+    P_k is one mask over all the sums.  At q = 2, F is every monic, every
+    weight is 1 and P_k keeps everything, so neither step runs.
+
+    F is taken in blocks.  A block keeps its running powers a^k as limb
+    arrays in the field's limb width, one per F_p coordinate, with a row per
+    slot and a column per monic, for the whole sweep over k; no power
+    becomes a Python int.  A step from a^(k-1) to a^k shifts by d slots for
+    t^d and, for each lower coefficient b_j, adds the f^2 products of
+    coordinate arrays with the entries of b_j's multiplication matrix (the
+    x-fold built in).  Overflow follows the ``PackedSum`` rule on a tracked
+    limb bound: a step multiplies the bound by at most 1 + d * f * (p-1), so
+    the step reduces mod p once where the next step could pass the limb
+    width (or the column sums their width), and reduces between
+    coefficients where even a reduced power could not take a whole step.
+    A reduction is a - p * (a // p), the quotient in a scratch row.  The
+    block's part of each sum is a column sum per weight in twice the limb
+    width, capped at 64 bits (uint32 for 16-bit limbs, else uint64).  Each
+    array holds at most _POWER_BLOCK_LIMBS limbs (at least one monic), and
+    the sums are laid into packed limbs once, at the end.
     """
     if d < 0 or kmax < 0:
         raise ValueError("need d >= 0 and kmax >= 0")
     p, f, q = field.pp.p, field.pp.f, field.pp.q
     dtype = f"<u{field._limb_bits // 8}"
     size = max(1, _POWER_BLOCK_LIMBS // (d * kmax + 1))
+    groups = _scaling_groups(field, d)
+    weights = sorted({w for w, _, _ in groups})
+    sizes = [len(reps) * q**j for _, j, reps in groups]
+    bounds = list(itertools.accumulate(sizes, initial=0))
     # the d * k + 1 slots of sum k are columns offsets[k] .. offsets[k+1]-1
-    # of one array, so a single _reduce brings every sum below p
+    # of one array per weight, so a single _reduce brings every sum below p;
+    # entries are column sums, in twice the limb width capped at 64 bits
     offsets = [k * (d * (k - 1) + 2) // 2 for k in range(kmax + 2)]
-    flat = np.zeros((f, offsets[-1]), np.uint64)
-    sums = [flat[:, a:b] for a, b in zip(offsets, offsets[1:])]
-    for start in range(0, q**d, size):
-        index = np.arange(start, min(start + size, q**d), dtype=np.int64)
+    sum_dtype = f"<u{min(2 * field._limb_bits, 64) // 8}"
+    flat = np.zeros((len(weights), f, offsets[-1]), sum_dtype)
+    sums = [flat[:, :, a:b] for a, b in zip(offsets, offsets[1:])]
+    for start in range(0, bounds[-1], size):
+        stop = min(start + size, bounds[-1])
+        pieces, segments = [], []
+        # the block's monics of each weight are one run, as groups are
+        # sorted by weight
+        for (w, j, reps), a, b in zip(groups, bounds, bounds[1:]):
+            lo, hi = max(a, start), min(b, stop)
+            if lo < hi:
+                pieces.append(_group_codes(q, d, j, reps, lo - a, hi - a))
+                col = weights.index(w)
+                if segments and segments[-1][0] == col:
+                    segments[-1][2] = hi - start
+                else:
+                    segments.append([col, lo - start, hi - start])
+        codes = [np.concatenate(coeff) for coeff in zip(*pieces)]
         # a function of its own, so a block's arrays are freed on return
-        _add_block_sums(field, d, index, sums)
+        _add_block_sums(field, d, codes, segments, sums)
         _reduce(flat, p)
+    # weights[0] is 1, the weight of t^d; each step stays below
+    # (p-1)^2 + p - 1, which make_field's size rule fits in 64 bits (and in
+    # 32 where the limbs, and so p <= 16, are 16-bit)
+    total = flat[0]
+    for w, part in zip(weights[1:], flat[1:]):
+        part *= w
+        total += part
+        _reduce(total, p)
+    if q > 2:
+        # column c of sum k holds t^i, i = dk - e for e its distance from
+        # the sum's last column; P_k keeps e = 0 mod q - 1, and as
+        # 0 <= e <= d * kmax the modulus min(q - 1, d * kmax + 1) keeps the
+        # same columns
+        e = np.repeat(np.asarray(offsets[1:]) - 1, np.diff(offsets))
+        e -= np.arange(offsets[-1])
+        e %= min(q - 1, d * kmax + 1)
+        total[:, e != 0] = 0
     limbs = np.zeros((offsets[-1], field.pack_stride), dtype)
-    limbs[:, :f] = flat.T
+    limbs[:, :f] = total.T
     raw = memoryview(limbs.tobytes())
     width = field._slot_bits // 8
     return [
         int.from_bytes(raw[a * width : b * width], "little")
         for a, b in zip(offsets, offsets[1:])
     ]
+
+
+def _scaling_groups(field: FieldSpec, d: int) -> list[tuple[int, int, list[int]]]:
+    """The fundamental set F of ``monic_power_sums`` as groups (weight, j,
+    reps), sorted by weight: t^d as (1, 0, [0]), and for each j < d the
+    g * q^j monics with b_j in reps, b_i free below j and 0 above, where
+    g = gcd(d - j, q - 1), reps holds the first code c >= 1 for each value
+    of c^((q-1)/g) (one per coset of the (d - j)-th powers in F_q^x) and
+    the weight is -1/g mod p."""
+    p, q = field.pp.p, field.pp.q
+    groups = [(1, 0, [0])]
+    for j in range(d):
+        g = math.gcd(d - j, q - 1)
+        reps, seen = [], set()
+        for c in range(1, q):
+            if len(reps) == g:
+                break
+            char = field.pow_code(c, (q - 1) // g)
+            if char not in seen:
+                seen.add(char)
+                reps.append(c)
+        groups.append((-pow(g, -1, p) % p, j, reps))
+    return sorted(groups, key=lambda group: group[0])
+
+
+def _group_codes(
+    q: int, d: int, j: int, reps: list[int], lo: int, hi: int
+) -> list[np.ndarray]:
+    """Codes of b_0 .. b_(d-1) of the monics lo .. hi-1 of one group of
+    ``_scaling_groups``: monic i has b_j = reps[i // q^j], b_l digit l of i
+    in base q below j, and b_l = 0 above j."""
+    local = np.arange(lo, hi, dtype=np.int64)
+    lead = np.asarray(reps, np.int64)[local // q**j]
+    zero = np.zeros_like(local)
+    return [local // q**l % q if l < j else lead if l == j else zero for l in range(d)]
 
 
 def _reduce(a: np.ndarray, p: int, scratch: Optional[np.ndarray] = None) -> None:
@@ -658,26 +750,31 @@ def _reduce(a: np.ndarray, p: int, scratch: Optional[np.ndarray] = None) -> None
 
 
 def _add_block_sums(
-    field: FieldSpec, d: int, index: np.ndarray, sums: list[np.ndarray]
+    field: FieldSpec,
+    d: int,
+    codes: list[np.ndarray],
+    segments: list[list[int]],
+    sums: list[np.ndarray],
 ) -> None:
-    """Add to each sums[k] (F_p coordinates by slot, each entry below p) the
-    sum of a^k over the monics of the block, a = t^d + sum b_j t^j with b_j
-    base-q digit j of its index; every entry stays below 2^64."""
-    p, f, q = field.pp.p, field.pp.f, field.pp.q
+    """Add to each sums[k][w] (F_p coordinates by slot, each entry below p)
+    the sum of a^k over the monics a..b-1 of the block, for each segment
+    (w, a, b); the segments cover the block in order, and monic i is
+    a = t^d + sum codes[j][i] t^j.  Every entry stays within the width of
+    the sums' dtype."""
+    p, f = field.pp.p, field.pp.f
     bits = field._limb_bits
-    sum_bits = min(2 * bits, 64)
-    sum_dtype = f"<u{sum_bits // 8}"
+    sum_dtype = sums[0].dtype
+    sum_bits = sum_dtype.itemsize * 8
     grow = 1 + d * f * (p - 1)  # a step multiplies a limb bound by at most this
     kmax = len(sums) - 1
+    size = segments[-1][2]
     # entry [j][u][v] of mats multiplies coordinate v into coordinate u by b_j
-    mats = [
-        [list(row) for row in _mul_matrices(field, index // q**j % q)]
-        for j in range(d)
-    ]
-    cur = np.zeros((f, d * kmax + 1, len(index)), f"<u{bits // 8}")
+    mats = [[list(row) for row in _mul_matrices(field, c)] for c in codes]
+    cur = np.zeros((f, d * kmax + 1, size), f"<u{bits // 8}")
     new, tmp = np.zeros_like(cur), np.empty_like(cur[0])
     cur[0, 0] = 1
-    sums[0][0, 0] += len(index)
+    for w, a, b in segments:
+        sums[0][w, 0, 0] += b - a
     load = 1  # bound on every limb of cur
     for k in range(1, kmax + 1):
         n = d * (k - 1) + 1  # slots of a^(k-1)
@@ -695,10 +792,11 @@ def _add_block_sums(
                     np.multiply(x, entry, out=part)
                     dst += part
         load = acc
-        if load * grow >> bits or load * len(index) + p >> sum_bits:
+        if load * grow >> bits or load * size + p >> sum_bits:
             _reduce(new[:, : d + n], p, tmp[: d + n])
             load = p - 1
-        sums[k] += new[:, : d + n].sum(axis=2, dtype=sum_dtype)
+        for w, a, b in segments:
+            sums[k][w] += new[:, : d + n, a:b].sum(axis=2, dtype=sum_dtype)
         cur, new = new, cur
 
 

@@ -230,8 +230,16 @@ def bruteforce_power_table(d: int, kmax: int, field: FieldSpec) -> list[Poly]:
     powers a, a^2, ..., a^kmax of each monic, a^k = a^(k-1) * a.  The sums
     come packed from ``fqpoly.monic_power_sums``, which steps the running
     powers of a block of monics as F_p coordinate arrays, so only one
-    block's powers are live at a time, and are unpacked as one batch.
-    Refuses to start when q^d exceeds BRUTE_FORCE_LIMIT.
+    block's powers are live at a time, and are unpacked as one batch.  It
+    is the literal sum regrouped by the scaling symmetry
+    a(t) -> lambda^(-d) * a(lambda * t), lambda in F_q^x: the powers of a
+    fundamental set F of about q^(d-1) monics (t^d, and one coset
+    representative of each highest lower coefficient), each weighted by
+    -1/g mod p (1 for t^d, g the number of ways it is reached), then only
+    the coefficients at t^j with j = dk mod q - 1 are kept.  At q = 2, F is
+    every monic and neither the weights nor the projection apply.
+    Refuses to start when q^d, the number of monics summed, exceeds
+    BRUTE_FORCE_LIMIT.
     """
     if d < 0 or kmax < 0:
         raise ValueError("need d >= 0 and kmax >= 0")

@@ -70,7 +70,9 @@ def _run(name: str, body: Callable[[], str]) -> CheckResult:
 
 
 def _pps(qs: Sequence[int]) -> list[PrimePower]:
-    return [PrimePower.from_q(q) for q in qs]
+    # the field-size rule first, so a q too wide for the limbs is refused
+    # before it is factored
+    return [fqpoly._field_prime_power(q) for q in qs]
 
 
 # ---------------------------------------------------------------------------
@@ -780,7 +782,7 @@ def run_power_sum_suite(
     def extreme_degree_uniqueness() -> str:
         checked = 0
         for q in qs:
-            pp = PrimePower.from_q(q)
+            pp = fqpoly._field_prime_power(q)
             for d in range(1, dmax + 1):
                 for k in range(1, kmax + 1):
                     minw = maxw = None
@@ -823,7 +825,7 @@ def run_power_sum_suite(
 
     def threshold_agreement() -> str:
         for q in qs:
-            pp = PrimePower.from_q(q)
+            pp = fqpoly._field_prime_power(q)
             for d in range(0, dmax + 1):
                 for k in range(1, kmax + 1):
                     if d > 0 and (q, d, k) not in nonempty:
@@ -847,7 +849,7 @@ def run_power_sum_suite(
 
     def valuation_chain() -> str:
         for q in qs:
-            pp = PrimePower.from_q(q)
+            pp = fqpoly._field_prime_power(q)
             for k in range(1, kmax + 1):
                 top = digitlab._threshold_floor(k, pp)
                 nus = [powersum.power_sum_valuation(d, -k, pp) for d in range(top + 1)]

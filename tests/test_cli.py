@@ -7,12 +7,20 @@ import re
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
 
 from fqzeta import cli, field_from_q, verify, zeta_negative
 from fqzeta.cli import main
+
+
+def _done(value):
+    """A future already holding value: what a stand-in pool's submit returns."""
+    future = Future()
+    future.set_result(value)
+    return future
 
 
 def run(capsys, *argv):
@@ -400,10 +408,19 @@ class TestSweepCommand:
         assert proc.stdout == out.read_bytes()
 
     def test_jobs_chunks_written_while_pool_open(self, capsys, monkeypatch, tmp_path):
-        # a stand-in pool maps lazily in this process; the output is
-        # complete before the pool is left, so chunks are consumed as the
-        # workers would make them, not collected first
-        seen = []
+        # a stand-in pool runs each task in this process when its result is
+        # read; the output is complete before the pool is left, so chunks
+        # are consumed as the workers would make them, not collected first,
+        # and at most 2 * workers tasks are submitted and not yet read
+        seen, waiting = [], []
+
+        class Task:
+            def __init__(self, fn, task):
+                self.fn, self.task = fn, task
+
+            def result(self):
+                waiting.remove(self)
+                return self.fn(self.task)
 
         class Pool:
             def __init__(self, max_workers):
@@ -416,8 +433,10 @@ class TestSweepCommand:
                 seen.append(out.read_bytes() if out.exists() else None)
                 return False
 
-            def map(self, fn, tasks, chunksize=1):
-                return (fn(task) for task in tasks)
+            def submit(self, fn, task):
+                waiting.append(Task(fn, task))
+                assert len(waiting) <= 4
+                return waiting[-1]
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
@@ -531,8 +550,8 @@ class TestSweepCommand:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks, chunksize=1):
-                return map(fn, tasks)
+            def submit(self, fn, task):
+                return _done(fn(task))
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
@@ -582,8 +601,8 @@ class TestSweepReference:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks, chunksize=1):
-                return map(fn, tasks)
+            def submit(self, fn, task):
+                return _done(fn(task))
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)

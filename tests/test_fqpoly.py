@@ -1,3 +1,4 @@
+import math
 import pickle
 import random
 import time
@@ -246,14 +247,23 @@ class TestPolyBasics:
             (257, 1, 100),
             (65521, 1, 4096),
             (3, 0, 5),
+            (9, 3, 40),
+            (5, 4, 100),
+            (13, 3, 100),
+            (3, 2, 4),
         ],
     )
     def test_monic_blocks_are_the_packed_monics(self, monkeypatch, q, d, size):
-        # monic_power_sums over blocks of `size` monics gives the literal
-        # sums: every case but q = 4 and d = 0 ends on a partial block,
-        # q = 8 and 27 have f = 3, and q = 65521 has 64-bit limbs
+        # monic_power_sums over blocks of `size` monics of the fundamental
+        # set F gives the literal sums.  q = 2 has the trivial group; q = 4,
+        # 8 and 27 have f >= 2; g = gcd(d - j, q - 1) reaches 2 at q = 9,
+        # 4 at (5, 4) and 3 at (13, 3), where three or more weights occur;
+        # q = 257 and 65521 have 32- and 64-bit limbs.  A block ends inside
+        # one j group at (2, 3), (9, 2), (9, 3), (5, 4), (13, 3) and (3, 2).
+        # S_d(k) is 0 for 0 < k < q^d - 1; kmax reaches q^d - 1 where that
+        # is cheap, so (2, 3), (4, 2) and (3, 2) compare nonzero sums.
         field = field_from_q(q)
-        kmax = 1 if q > 1000 else 4
+        kmax = q**d - 1 if 4 < q**d <= 16 else 1 if q > 1000 else 4
         monkeypatch.setattr(fqpoly, "_POWER_BLOCK_LIMBS", size * (d * kmax + 1))
         # _mul_matrices runs d times per block, on the block's codes
         built = []
@@ -267,7 +277,8 @@ class TestPolyBasics:
         sums = monic_power_sums(field, d, kmax)
         expected = oracles.naive_power_sums(field, d, kmax)
         assert sums == [Poly(field, e).packed() for e in expected]
-        sizes = [min(size, q**d - i) for i in range(0, q**d, size)]
+        count = 1 + sum(math.gcd(d - j, q - 1) * q**j for j in range(d))
+        sizes = [min(size, count - i) for i in range(0, count, size)]
         assert built == [n for n in sizes for _ in range(d)]
 
     def test_monic_enumeration_count(self, F3, F9):
@@ -341,12 +352,25 @@ class TestPolyMultiplicationRoutes:
             expected = expected + products[key]
         assert Poly.from_packed(field, acc.value) == expected
 
-    @pytest.mark.parametrize("q", [9, 257])
+    @pytest.mark.parametrize("q", [9, 257, 2, 3, 4, 5, 8, 13, 27, 65521])
     def test_monic_power_sums(self, q):
         # canonical packed sums equal to the literal sums (a zero sum is 0);
-        # at q = 9 the 30 steps of d = 1 pass the 16-bit limb several times
+        # at q = 9 the 30 steps of d = 1 pass the 16-bit limb several times.
+        # S_d(k) is 0 for 0 < k < q^d - 1, so the ranges reach nonzero sums
+        # at d = 1, and with g = gcd(2, q - 1) = 2 at (3, 2) and (5, 2)
         field = field_from_q(q)
-        ranges = {9: ((0, 8), (1, 30), (2, 12), (3, 3)), 257: ((0, 3), (1, 4))}[q]
+        ranges = {
+            9: ((0, 8), (1, 30), (2, 12), (3, 3)),
+            257: ((0, 3), (1, 4)),
+            2: ((1, 8), (3, 20), (5, 40)),
+            3: ((1, 10), (2, 26), (4, 6)),
+            4: ((1, 12), (2, 30), (3, 5)),
+            5: ((1, 12), (2, 50), (4, 3)),
+            8: ((1, 20), (2, 4)),
+            13: ((1, 40), (3, 3)),
+            27: ((1, 30), (2, 2)),
+            65521: ((0, 2), (1, 1)),
+        }[q]
         for d, kmax in ranges:
             sums = monic_power_sums(field, d, kmax)
             expected = oracles.naive_power_sums(field, d, kmax)
@@ -369,13 +393,16 @@ class TestPolyMultiplicationRoutes:
 
     @pytest.mark.parametrize("bits, kmax, slots", [(8, 4, [13, 19, 25]), (64, 16, [91])])
     def test_monic_power_sums_column_sum_width(self, monkeypatch, bits, kmax, slots):
-        # F_3 with its limb width forced; the 729 monics of d = 6 share one
-        # block, and a step multiplies its load by 13.  At 8 bits the column
-        # sums are 16-bit, and from k = 2 on every step reduces because the
-        # next step could pass the limb (load * 13 >= 2^8).  At 64 bits,
-        # at k = 15 the next step still fits a limb (13^16 < 2^64) but
-        # 13^15 * 729 does not fit the column sum, so only the column-sum
-        # guard reduces there, once, on the 91 slots of a^15.
+        # F_3 with its limb width forced; the 456 monics of F at d = 6
+        # (1 + 2 + 3 + 18 + 27 + 162 + 243, of 729) share one block, and a
+        # step multiplies its load by 13.  Weights are applied after the
+        # sums are reduced, so the column-sum guard is load * 456 + 3.  At
+        # 8 bits the column sums are 16-bit, and from k = 2 on every step
+        # reduces because the next step could pass the limb
+        # (load * 13 >= 2^8).  At 64 bits, at k = 15 the next step still
+        # fits a limb (13^16 < 2^64) but 13^15 * 456 does not fit the column
+        # sum (13^14 * 456 does), so only the column-sum guard reduces
+        # there, once, on the 91 slots of a^15.
         natural = field_from_q(3)
         narrow = FieldSpec(natural.pp, natural.modulus)
         narrow._limb_bits = narrow._slot_bits = bits

@@ -145,12 +145,14 @@ class TestBruteForce:
     @pytest.mark.parametrize(
         "q, kmax, ks, size, blocks",
         [
-            # 64 monics in blocks of 21: the last block holds one monic
+            # the 10 monics of F (of 64) in blocks of 3: the last block
+            # holds one monic
             pytest.param(
-                8, 300, (0, 1, 2, 63, 126, 127, 191, 255, 287, 299, 300), 21, 4,
+                8, 300, (0, 1, 2, 63, 126, 127, 191, 255, 287, 299, 300), 3, 4,
                 id="8-300-ks0-4",
             ),
-            # all 25 monics in one block under the default limb budget
+            # all 8 monics of F (of 25) in one block under the default limb
+            # budget
             pytest.param(5, 40, range(41), None, 1, id="5-40-ks1-1"),
         ],
     )
@@ -287,6 +289,21 @@ class TestValuationAndVanishing:
                     nu = power_sum_valuation(d, -k, pp)
                     poly = power_sum_formula(d, -k, field).value
                     assert nu == poly.t_valuation, (q, d, k)
+
+    @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 13, 16, 25, 27])
+    def test_terms_in_one_scaling_class(self, q):
+        # a(t) -> lambda^(-d) a(lambda t) permutes the monics of degree d, so
+        # S_d(-k) has terms t^j only at j = dk mod q - 1: the projection the
+        # brute-force kernel applies, checked here on the formula route
+        field = field_from_q(q)
+        nonzero = 0
+        for d in range(5):
+            for k in range(1, 61):
+                coeffs = power_sum_formula(d, -k, field).value.coeffs
+                terms = [j for j, c in enumerate(coeffs) if c]
+                assert all((j - d * k) % (q - 1) == 0 for j in terms), (d, k)
+                nonzero += bool(coeffs)
+        assert nonzero > 60
 
     def test_degree_window(self):
         # every exponent sits between the modest and greedy weights

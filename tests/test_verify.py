@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from fqzeta import mzv, verify
+from fqzeta import digitlab, fqpoly, mzv, verify
 from fqzeta.errors import VanishingMismatchError
 
 SMALL = dict(qs=(2, 3), depths=(2, 3), smin=-4, goss_kmax=6)
@@ -253,3 +253,32 @@ def test_parity_mismatch_names_q_and_s(monkeypatch, reference):
     assert {k: v for k, v in got.items() if k != "depth-one-parity"} == {
         k: v for k, v in reference.items() if k != "depth-one-parity"
     }
+
+
+@pytest.mark.parametrize(
+    "suite",
+    [
+        verify.run_digit_suite,
+        verify.run_membership_suite,
+        verify.run_cover_suite,
+        verify.run_compose_suite,
+        verify.run_power_sum_suite,
+        verify.run_mzv_suite,
+    ],
+    ids=lambda fn: fn.__name__,
+)
+def test_suite_refuses_field_too_wide_for_limbs(monkeypatch, suite):
+    # called directly, as run_suites and the CLI are not in front: 2^61 - 1
+    # is refused by the field-size rule before it is tested for primality,
+    # which by trial division would not finish
+    is_prime = digitlab._is_prime
+
+    def refused(n):
+        if n > 2**32:
+            raise AssertionError(f"{n} was tested for primality")
+        return is_prime(n)
+
+    monkeypatch.setattr(digitlab, "_is_prime", refused)
+    monkeypatch.setattr(fqpoly, "_is_prime", refused)
+    with pytest.raises(ValueError, match="exceeds a 64-bit limb"):
+        suite(qs=(3, 2**61 - 1))
