@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 from typing import Optional, Sequence
 
 from .errors import DegenerateCoverError, PreconditionError
@@ -56,18 +57,35 @@ __all__ = [
 CACHE_LIMIT = 1 << 16  # entries in each cache that lives as long as the process
 
 
+# the first 13 primes: as Miller-Rabin bases they decide every n below
+# _MR_BOUND (Sorenson and Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
+    """Exact primality: Miller-Rabin with the bases _MR_BASES below
+    _MR_BOUND, where they are proven to decide, and trial division above."""
     if n < 2:
         return False
-    if n < 4:
+    if n in _MR_BASES:
         return True
-    if n % 2 == 0:
+    if any(n % b == 0 for b in _MR_BASES):
         return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    if n >= _MR_BOUND:
+        return all(n % d for d in range(43, isqrt(n) + 1, 2))
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s * d, d odd
+    d = (n - 1) >> s
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

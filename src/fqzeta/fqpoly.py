@@ -22,7 +22,9 @@ otherwise.  ``canonical_values``, the one renormalize route, folds many
 sums over one buffer (at p = 2, f = 1 one AND with a low-bit mask), for
 ``product_sums``, ``PackedSum.canonical`` and ``Poly.from_packed`` alike;
 ``canonical_polys`` and ``canonical_texts`` read canonical ones back by one
-frombuffer, with no fold.
+frombuffer, with no fold.  ``lucas_level`` takes one level of a Lucas
+recurrence over a box of base-p digit vectors as one binomial transform
+per digit, plain int sums under the same rule on a tracked limb bound.
 ``monic_power_sums`` gives the brute-force sums of a^k over the monics of
 one degree, regrouped by the scaling action of F_q^x: it steps the running
 powers of a block of a fundamental set of about q^(d-1) monics as numpy
@@ -60,6 +62,7 @@ __all__ = [
     "canonical_texts",
     "canonical_valuations",
     "canonical_values",
+    "lucas_level",
     "product_sums",
     "make_field",
     "field_from_q",
@@ -72,6 +75,7 @@ _TABLE_LIMIT = 1024  # f > 1 fields up to this q get q x q operation tables
 _SCHOOLBOOK_CUTOFF = 2048
 _HEADROOM = 256  # coefficient products a limb of the chosen width holds
 _POWER_BLOCK_LIMBS = 1 << 17  # limbs in one monic_power_sums block array
+_LEVEL_PIECE = 256  # values lucas_level transforms or folds at once
 # the text of t^k for the degrees of most printed values, built once
 _T_POWERS = np.array(["", "t", *map("t^{}".format, range(2, 1 << 10))], object)
 
@@ -541,6 +545,93 @@ def canonical_values(values: Sequence[int], field: FieldSpec) -> list[int]:
     return [
         int.from_bytes(raw[i : i + nbytes], "little") for i in range(0, len(raw), nbytes)
     ]
+
+
+def lucas_level(
+    field: FieldSpec,
+    values: Sequence[int],
+    digits: Sequence[int],
+    pascal: Sequence[Sequence[int]],
+    keep: Sequence[int],
+) -> list[int]:
+    """One level of a Lucas recurrence over a box of base-p digit vectors.
+
+    values[i] is a canonical packed x_c for every c with c_i <= digits[i],
+    at i = sum of c_i * (digits[0] + 1) * ... * (digits[i-1] + 1), and
+    pascal[c][b] is C(c, b) mod p for c up to the largest digit.  Returns,
+    for each index of keep, the canonical packed
+
+        t^c x_c - sum over b <= c digitwise of C(c, b) * t^b * x_b,
+
+    c and b read as integers sum c_i * p^i and C(c, b) = prod C(c_i, b_i)
+    (Lucas).  Each x_b is shifted to t^b * x_b once; the sum over b is then
+    taken one digit axis at a time (Yates' method), y_c = sum over
+    b_i <= c_i of C(c_i, b_i) * y_b, as plain int sums over an object array
+    while a tracked limb bound fits (an axis multiplies it by at most the
+    largest pascal row sum), in pieces of at most _LEVEL_PIECE lines, so a
+    step holds at most a piece's new ints.  The box is renormalized first
+    where the bound would not fit, and an axis whose terms would overflow
+    even canonical limbs goes through ``PackedSum``s.
+    """
+    p, bits, slot = field.pp.p, field._limb_bits, field._slot_bits
+    exps = [0]
+    for i, a in enumerate(digits):
+        exps = [e + b * p**i for b in range(a + 1) for e in exps]
+    flat = np.empty(len(values), object)
+    flat[:] = [x << e * slot for x, e in zip(values, exps)]
+    load, stride = p - 1, 1
+    for a in digits:
+        if not a:
+            continue
+        rows = pascal[: a + 1]
+        grow = max(map(sum, rows))
+        if load * grow >> bits and load >= p:
+            _fold_box(flat, field)
+            load = p - 1
+        # lines[h, b, l]: the entry with digit b on this axis, the digits
+        # below it giving l and those above giving h
+        lines = flat.reshape(-1, a + 1, stride)
+        if load * grow >> bits:
+            # even canonical terms would overflow: one PackedSum per entry
+            for h, l in itertools.product(range(len(lines)), range(stride)):
+                line, sums = lines[h, :, l], [PackedSum(field) for _ in rows]
+                for total, row in zip(sums, rows):
+                    for x, coeff in zip(line, row):
+                        total.add_scaled(x, coeff, 0)
+                line[:] = [total.value for total in sums]
+            load = 1 << bits
+        else:
+            cols, step = min(stride, _LEVEL_PIECE), max(1, _LEVEL_PIECE // stride)
+            for h, l in itertools.product(range(0, len(lines), step), range(0, stride, cols)):
+                piece = lines[h : h + step, :, l : l + cols]
+                # top row first: row c reads only the rows b <= c, not yet
+                # replaced
+                for c in range(a, 0, -1):
+                    acc = piece[:, 0]
+                    for b, coeff in enumerate(rows[c][1:], 1):
+                        if coeff:
+                            acc = acc + (piece[:, b] if coeff == 1 else piece[:, b] * coeff)
+                    piece[:, c] = acc
+            load *= grow
+        stride *= a + 1
+    if (load + 1) * (p - 1) >> bits:
+        _fold_box(flat, field)
+    neg = p - 1  # -y is (p - 1) * y, and y itself at p = 2
+    out = []
+    for a in range(0, len(keep), _LEVEL_PIECE):
+        run = keep[a : a + _LEVEL_PIECE]
+        sums = [(values[i] << exps[i] * slot) + (flat[i] * neg if p > 2 else flat[i]) for i in run]
+        flat[run] = 0
+        out += canonical_values(sums, field)
+    return out
+
+
+def _fold_box(flat: np.ndarray, field: FieldSpec) -> None:
+    """Renormalize an object array of packed values in place, by
+    ``canonical_values`` over runs of _LEVEL_PIECE values, so that no fold
+    pads more than a run to its longest value."""
+    for a in range(0, len(flat), _LEVEL_PIECE):
+        flat[a : a + _LEVEL_PIECE] = canonical_values(flat[a : a + _LEVEL_PIECE].tolist(), field)
 
 
 def _canonical_codes(field: FieldSpec, values: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:

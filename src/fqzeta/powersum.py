@@ -8,16 +8,21 @@ is a multiple of q-1, else 0), gives the one-part recurrence
     S_d(-k) = -sum C(k, j) t^j S_{d-1}(-j),   S_0 = 1,
 
 over j < k with (q-1) | (k-j); by Lucas' theorem only the base-p digit
-submasks j of k contribute.  It is the formula route.  Unrolled, it is
+submasks j of k contribute, and C(k, j) is the product of the digits'
+binomials mod p.  It is the formula route, taken two ways: node by node,
+each node a direct sum over its terms, or, where that costs more, a
+whole level S_e over every digit submask of k at a time, as one binomial
+transform per digit (``fqpoly.lucas_level``).  Unrolled, it is
 the digit-combinatorial expansion: a sum over head-free carry-free
 compositions (m_0, ..., m_d) of -s with q-even positive interior, each
 contributing the multinomial coefficient of -s over the parts mod p
 times t to the weight d*m_0 + (d-1)*m_1 + ... + m_{d-1}, with the sign
 (-1)^d.  The verification and test suites check the recurrence against
-that expansion and against the literal summation.  Its nodes S(d, k) are
-kept in one store per field for the life of the process, which
-``power_sum_formula`` and every multizeta sweep share; it is cleared whole
-once it holds more than STORE_BITS, and no result depends on it.
+that expansion and against the literal summation.  The nodes S(d, k)
+either way computes are kept in one store per field for the life of the
+process, which ``power_sum_formula`` and every multizeta sweep share; it
+is cleared whole once it holds more than STORE_BITS, and no result
+depends on it.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from .fqpoly import (
     Poly,
     RationalFn,
     canonical_polys,
+    lucas_level,
     monic_polys,
     monic_power_sums,
 )
@@ -106,15 +112,23 @@ def power_sum_packed(d: int, k: int, field: FieldSpec) -> int:
 
     Evaluates the one-part recurrence
     S_d(-k) = -sum C(k, j) t^j S_{d-1}(-j), S_0 = 1, over the base-p digit
-    submasks j < k of k with (q-1) | (k-j).  Every node (d, j) it reaches
-    is kept in the field's store, which later calls read; the result does
-    not depend on it.  Raises ResourceLimitError, before the store is read,
-    when the work bound, the product of (a + 1) plus d - 1 times the
-    product of C(a + 2, 2) over the base-p digits a of k, exceeds
-    FORMULA_SPLIT_LIMIT, so a warm store changes no outcome.  A call that
-    finds the store holding more than STORE_BITS clears it whole first.
-    S_0 = 1 is returned at once: at d = 0 the bound cannot trip, and the
-    Lucas tables would cost time linear in the largest digit of k.
+    submasks j < k of k with (q-1) | (k-j).  Raises ResourceLimitError,
+    before the store is read, when the work bound, the product of (a + 1)
+    plus d - 1 times the product of C(a + 2, 2) over the base-p digits a
+    of k, exceeds FORMULA_SPLIT_LIMIT, so a warm store changes no outcome.
+    A call that finds the store holding more than STORE_BITS clears it
+    whole first.  S_0 = 1 is returned at once.
+
+    S(d, -k) itself is the direct sum over its terms.  When one of the
+    nodes S(d - 1, j) it reads is missing from the store, and
+    ``_level_route_pays`` (from the digits of k, q and d) finds whole
+    levels cheaper, the levels below are filled first, one at a time, over
+    every digit submask c of k with (q-1) | (k-c) (``_fill_levels``);
+    otherwise the direct sum recurses into the missing nodes alone.  The
+    store receives every node either computes, the level route's whole
+    levels included (S(e, k) for e < d among them); later calls read it,
+    and the result does not depend on it.  A call that finds every node
+    of level d - 1 it reads stored builds no digit box.
     """
     if d == 0:
         return 1
@@ -128,44 +142,129 @@ def power_sum_packed(d: int, k: int, field: FieldSpec) -> int:
     if _store_bits > STORE_BITS:
         _clear_store()
     store = _store.setdefault(field, {})
-    value = store.get((d, k))  # a hit skips the Lucas tables below
+    value = store.get((d, k))
     if value is not None:
         return value
-    # C(k, j) mod p by Lucas; every digit of every j is at most a digit of k
-    fact = [1] * (max(digits, default=0) + 1)
-    for i in range(2, len(fact)):
-        fact[i] = fact[i - 1] * i % p
-    inv_fact = [pow(x, -1, p) for x in fact]
+    rows: dict[int, list[int]] = {}  # C(a, b) mod p by digit a, built as needed
 
-    def node(d: int, k: int) -> int:
-        global _store_bits
-        value = store.get((d, k))
-        if value is not None:
-            return value
-        if d == 0:
-            value = 1
-        else:
-            run = PackedSum(field)
-            ds = base_digits(k, p)
-            for bs in itertools.product(*(range(a + 1) for a in ds)):
-                j = 0
-                for b in reversed(bs):
-                    j = j * p + b
-                if j == k or (k - j) % qm:
-                    continue
-                sub = node(d - 1, j)
-                if sub:
-                    c = 1
-                    for a, b in zip(ds, bs):
-                        c = c * fact[a] * inv_fact[b] * inv_fact[a - b] % p
-                    run.add_scaled(sub, p - c, j)
-            value = run.canonical()
-        store[(d, k)] = value
-        with _store_lock:
-            _store_bits += value.bit_length() + _ENTRY_BITS
+    def node(d: int, k: int, terms) -> int:
+        run = PackedSum(field)
+        for j, c in terms:
+            sub = store.get((d - 1, j))
+            if sub is None:
+                sub = node(d - 1, j, _lucas_terms(j, p, qm, rows)) if d > 1 else 1
+            if sub:
+                run.add_scaled(sub, p - c, j)
+        value = run.canonical()
+        _keep(store, [((d, k), value)])
         return value
 
-    return node(d, k)
+    terms = _lucas_terms(k, p, qm, rows)
+    if d > 1 and _level_route_pays(k, field.pp, d, 1):
+        terms = list(terms)
+        if any((d - 1, j) not in store for j, _ in terms):
+            _fill_levels(d, k, digits, field, store)
+    return node(d, k, terms)
+
+
+def _lucas_terms(k: int, p: int, qm: int, rows: dict[int, list[int]]):
+    """(j, C(k, j) mod p) for each base-p digit submask j < k of k with
+    qm | (k - j).  The digits of j above the lowest are enumerated, each
+    C(a, b) read from rows[a] (built on first use); the lowest digit then
+    steps from its residue mod qm (it has weight 1), so at most two
+    candidates remain, one when qm > p - 1."""
+    a0, high = k % p, base_digits(k // p, p)
+    axes = []
+    for i, a in enumerate(high, 1):
+        row = rows.get(a)
+        if row is None:
+            row = rows[a] = _binomial_row(a, p)
+        axes.append([(b * p**i, c) for b, c in enumerate(row)])
+    for combo in itertools.product(*axes):
+        rest, c = 0, 1
+        for offset, x in combo:
+            rest += offset
+            c *= x
+        for b0 in range((k - rest) % qm, a0 + 1, qm):
+            if rest + b0 < k:
+                yield rest + b0, c * _binomial(a0, b0, p) % p
+
+
+def _binomial_row(a: int, p: int) -> list[int]:
+    """C(a, b) mod p for b = 0 .. a, for a digit a < p."""
+    row = [1]
+    for b in range(a):
+        row.append(row[-1] * (a - b) * pow(b + 1, -1, p) % p)
+    return row
+
+
+@lru_cache(maxsize=CACHE_LIMIT)
+def _binomial(a: int, b: int, p: int) -> int:
+    """C(a, b) mod p for digits b <= a < p, in min(b, a - b) steps."""
+    num = den = 1
+    for i in range(min(b, a - b)):
+        num = num * (a - i) % p
+        den = den * (i + 1) % p
+    return num * pow(den, -1, p) % p
+
+
+def _level_route_pays(k: int, q: PrimePower, d: int, levels: int) -> bool:
+    """Whether filling ``levels`` whole levels below S(d, -k) over the digit
+    box of k should cost less than recursing node by node, from the two
+    routes' term counts, each weighted by its measured cost per term (on
+    q = 2 .. 27, d = 2 .. 5, cold and with the levels below stored).
+
+    A level takes box * (1 + sum of a / 2) multiply-adds, box the product
+    of (a + 1) over the digits a of k, on 2f - 1 limbs per slot; 10 of
+    them cost about 7 node route steps.  The node route takes about
+    (a_0 + 1) * prod C(a + 2, 2) / (q - 1) enumeration steps, the product
+    over the digits above the lowest, a_0, and a share of them about
+    (d - 1) / (L(k) + 1) meets only vanishing nodes and adds nothing."""
+    digits = base_digits(k, q.p)
+    box = prod(a + 1 for a in digits)
+    level = box * (2 + sum(digits)) * (2 * q.f - 1) * levels
+    node = (k % q.p + 1) * prod(comb(a + 2, 2) for a in digits[1:])
+    floor = _threshold_floor(k, q)
+    return 7 * level * (floor + 1) * (q.q - 1) < 20 * node * (floor + 2 - d)
+
+
+def _fill_levels(d: int, k: int, digits: tuple[int, ...], field: FieldSpec, store) -> None:
+    """S(e, c) for e = 1 .. d - 1 and every digit submask c of k with
+    (q-1) | (k-c), one level at a time (``fqpoly.lucas_level``), from the
+    highest level below d - 1 that the store already holds whole, when
+    ``_level_route_pays`` for the levels left; else nothing."""
+    p, qm = field.pp.p, field.pp.q - 1
+    exps = [0]
+    for i, a in enumerate(digits):
+        exps = [e + b * p**i for b in range(a + 1) for e in exps]
+    keep = [i for i, c in enumerate(exps) if (k - c) % qm == 0]
+    start = next(
+        (e for e in range(d - 2, 0, -1) if all((e, exps[i]) in store for i in keep)), 0
+    )
+    if not _level_route_pays(k, field.pp, d, d - 1 - start):
+        return
+    values = [0] * len(exps)
+    for i in keep:
+        values[i] = store[start, exps[i]] if start else 1
+    pascal = [_binomial_row(a, p) for a in range(max(digits) + 1)]
+    for e in range(start + 1, d):
+        level = lucas_level(field, values, digits, pascal, keep)
+        for i, value in zip(keep, level):
+            values[i] = value
+        _keep(store, [((e, exps[i]), value) for i, value in zip(keep, level)])
+
+
+def _keep(store, nodes) -> None:
+    """Add the nodes (key, value) the store lacks, each charged its value's
+    bit length plus _ENTRY_BITS."""
+    global _store_bits
+    bits = 0
+    for key, value in nodes:
+        if key not in store:
+            store[key] = value
+            bits += value.bit_length() + _ENTRY_BITS
+    with _store_lock:
+        _store_bits += bits
 
 
 def _clear_store() -> None:

@@ -24,7 +24,7 @@ from fqzeta import (
     split_capacity,
     vanishing_threshold,
 )
-from fqzeta.digitlab import base_digits
+from fqzeta.digitlab import _is_prime, base_digits
 from fqzeta.verify import _digit_sum_base_q as digit_sum_base_q
 
 import oracles
@@ -52,6 +52,28 @@ class TestPrimePower:
             PrimePower.from_q(36)
         with pytest.raises(ValueError):
             PrimePower(3, 0)
+
+    def test_is_prime_matches_trial_division(self):
+        def trial(n):
+            return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+        assert [n for n in range(10**5) if _is_prime(n)] == [
+            n for n in range(10**5) if trial(n)
+        ]
+
+    @pytest.mark.parametrize(
+        "n", [3215031751, 3825123056546413051, 318665857834031151167461]
+    )
+    def test_is_prime_refuses_strong_pseudoprimes(self, n):
+        # each passes the strong test to several of the first 13 prime
+        # bases; the last to all of 2 .. 37
+        assert not _is_prime(n)
+
+    def test_large_prime_returns_at_once(self):
+        # Miller-Rabin below 3.3e24: 2^61 - 1 was trial-divided to its root
+        assert PrimePower.from_q(2**61 - 1) == PrimePower(2**61 - 1, 1)
+        assert PrimePower(2**61 - 1, 1).q == 2**61 - 1
+        assert not _is_prime((2**31 - 1) ** 2)
 
     def test_q_even(self, q3, q2):
         assert q3.is_q_even(2) and q3.is_q_even(-8) and not q3.is_q_even(3)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import pickle
 import random
@@ -419,6 +420,72 @@ class TestPolyMultiplicationRoutes:
         assert reduced == slots
         want = [Poly.from_packed(natural, n) for n in monic_power_sums(natural, 6, kmax)]
         assert [g.coeffs for g in got] == [w.coeffs for w in want]
+
+    @pytest.mark.parametrize(
+        "q, bits, digits, folds, packed",
+        [
+            # the natural 16-bit limbs hold 2 * 4^4 (an axis of digit 2
+            # multiplies the limb bound by 4, the row sums of C(c, b) mod 3)
+            (3, None, (2, 2, 2, 2), 0, 0),
+            # 8-bit limbs: the box is renormalized before the fourth axis
+            (9, 8, (2, 2, 2, 2), 1, 0),
+            # an axis of digit 4 multiplies the bound by 11: before the
+            # second and the third axis
+            (5, 8, (4, 0, 4, 4), 2, 0),
+            # C(12, b) = (-1)^b mod 13, so even canonical limbs take
+            # 12 * 79 > 2^8 in an axis: PackedSums for both, renormalized
+            # before the second axis and at the end
+            (13, 8, (12, 12), 2, 2 * 169),
+        ],
+    )
+    def test_lucas_level_limb_bound(self, monkeypatch, q, bits, digits, folds, packed):
+        # against Poly arithmetic: for each kept c, t^c x_c minus the sum
+        # over digit submasks b of c of prod C(c_i, b_i) * t^b * x_b
+        natural = field_from_q(q)
+        p = natural.pp.p
+        field = natural
+        if bits:
+            field = FieldSpec(natural.pp, natural.modulus)
+            field._limb_bits, field._slot_bits = bits, bits * field.pack_stride
+        counts = {"folds": 0, "packed": 0}
+        fold = fqpoly._fold_box
+
+        def fold_spy(flat, fs):
+            counts["folds"] += 1
+            fold(flat, fs)
+
+        class PackedSpy(PackedSum):
+            def __init__(self, fs):
+                counts["packed"] += 1
+                super().__init__(fs)
+
+        monkeypatch.setattr(fqpoly, "_fold_box", fold_spy)
+        monkeypatch.setattr(fqpoly, "PackedSum", PackedSpy)
+        rng = random.Random(q)
+        box = [
+            c[::-1] for c in itertools.product(*(range(a + 1) for a in reversed(digits)))
+        ]
+        xs = [Poly(natural, [rng.randrange(q) for _ in range(rng.randrange(5))]) for _ in box]
+        keep = [i for i in range(len(box)) if i % 3 != 1]
+        pascal = [[math.comb(c, b) % p for b in range(c + 1)] for c in range(max(digits) + 1)]
+        values = [Poly(field, x.coeffs).packed() for x in xs]
+        got = fqpoly.lucas_level(field, values, digits, pascal, keep)
+        assert counts == {"folds": folds, "packed": packed}
+
+        def exp(c):
+            return sum(b * p**i for i, b in enumerate(c))
+
+        def shifted(x, e):
+            return Poly(natural, [0] * e + list(x.coeffs)) if x else x
+
+        for i, value in zip(keep, got):
+            c = box[i]
+            want = shifted(xs[i], exp(c))
+            for j, b in enumerate(box):
+                coeff = math.prod(math.comb(ci, bi) for ci, bi in zip(c, b)) % p
+                if coeff and all(bi <= ci for bi, ci in zip(b, c)):
+                    want = want - shifted(xs[j], exp(b)).scale(coeff)
+            assert Poly.from_packed(field, value).coeffs == want.coeffs, c
 
     @pytest.mark.parametrize("p", [2, 3, 251, 257, 65521])
     @pytest.mark.parametrize("bits", [16, 32, 64])

@@ -1,3 +1,5 @@
+import itertools
+import math
 import sys
 import threading
 
@@ -18,6 +20,7 @@ from fqzeta import (
 )
 from fqzeta import make_field
 from fqzeta.compose import HEAD, enumerate_head_free
+from fqzeta.digitlab import base_digits
 from fqzeta import fqpoly, powersum
 
 import oracles
@@ -55,6 +58,40 @@ class TestFormula:
         # one index tuple, (p-1) = 0 + (p-1): S(1, -(p-1)) = -1
         field = make_field(65521, 1)
         assert power_sum_formula(1, -65520, field).value.coeffs == (65520,)
+
+    def test_one_term_costs_no_digit_tables(self, monkeypatch):
+        # S_1(-(p-1)) = -1: the lowest digit steps from its residue, so no
+        # binomial row of the digit p - 1 is built
+        built = []
+        row = powersum._binomial_row
+
+        def spy(a, p):
+            built.append(a)
+            return row(a, p)
+
+        monkeypatch.setattr(powersum, "_binomial_row", spy)
+        field = make_field(1000003, 1)
+        powersum._clear_store()
+        assert power_sum_formula(1, -1000002, field).value.coeffs == (1000002,)
+        assert built == []
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 27, 257])
+    def test_lucas_terms_match_submask_filter(self, q):
+        # every base-p digit submask j < k with (q-1) | (k-j), and C(k, j)
+        # mod p (by Lucas, a product over the digits), against the plain
+        # enumeration of all submasks
+        p, qm = field_from_q(q).pp.p, q - 1
+        for k in [*range(1, 120), p**3 - 1, 3 * p**2 + p - 1, q * q - 1]:
+            ds = base_digits(k, p)
+            if math.prod(a + 1 for a in ds) > 4096:
+                continue
+            want = {}
+            for bs in itertools.product(*(range(a + 1) for a in ds)):
+                j = sum(b * p**i for i, b in enumerate(bs))
+                if j < k and (k - j) % qm == 0:
+                    want[j] = math.prod(map(math.comb, ds, bs)) % p
+            got = list(powersum._lucas_terms(k, p, qm, {}))
+            assert dict(got) == want and len(got) == len(want), (q, k)
 
     def test_split_guard(self):
         field = field_from_q(257)
@@ -328,6 +365,86 @@ class TestValuationAndVanishing:
                     )
 
 
+def _force(monkeypatch, route):
+    """Make ``power_sum_packed`` take one route: "level" fills whole levels,
+    "node" recurses node by node, "rule" leaves the choice to the rule."""
+    if route != "rule":
+        monkeypatch.setattr(powersum, "_level_route_pays", lambda *args: route == "level")
+
+
+class TestLevelRoute:
+    """The level route (``fqpoly.lucas_level`` over the digit box of k) and
+    the node-by-node recursion, each forced, against each other and against
+    the literal sums."""
+
+    # dense boxes (every digit p - 1, all ones at q = 2) and sparse ones
+    # (zero digits, digits below p - 1)
+    CELLS = {
+        2: (255, 1057, 600),
+        3: (80, 242, 164, 500),
+        4: (255, 259, 1000),
+        5: (124, 179, 652),
+        8: (63, 511, 519),
+        9: (80, 728, 737),
+        16: (255, 277),
+        25: (624, 652),
+        27: (728, 758),
+        257: (256, 770, 1546),
+    }
+
+    def values(self, monkeypatch, route, field, d, ks):
+        _force(monkeypatch, route)
+        out = []
+        for k in ks:
+            powersum._clear_store()
+            out.append(power_sum_formula(d, -k, field).value)
+        return out
+
+    @pytest.mark.parametrize("q", sorted(CELLS))
+    def test_routes_agree(self, monkeypatch, q):
+        field = field_from_q(q)
+        nonzero = 0
+        for d in range(1, 6):
+            level = self.values(monkeypatch, "level", field, d, self.CELLS[q])
+            node = self.values(monkeypatch, "node", field, d, self.CELLS[q])
+            assert level == node, d
+            nonzero += sum(not v.is_zero for v in level)
+        assert nonzero
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    def test_routes_match_naive_sums(self, monkeypatch, q):
+        field = field_from_q(q)
+        for d in range(2, 6):
+            if q**d > 32:
+                break
+            want = oracles.naive_power_sums(field, d, 30)[1:]
+            for route in ("level", "node"):
+                got = self.values(monkeypatch, route, field, d, range(1, 31))
+                assert [v.coeffs for v in got] == list(want), (route, d)
+
+    def test_rule_takes_each_route(self, monkeypatch, F2, F9):
+        filled = []
+        level = powersum.lucas_level
+
+        def spy(field, *args):
+            filled.append(field.pp.q)
+            return level(field, *args)
+
+        monkeypatch.setattr(powersum, "lucas_level", spy)
+        powersum._clear_store()
+        # q = 2, eight one-bits: levels 1 and 2 a whole level at a time
+        power_sum_formula(3, -255, F2)
+        assert filled == [2, 2]
+        # q = 9: node by node, every node of level 2 reached from the top
+        power_sum_formula(3, -728, F9)
+        assert filled == [2, 2]
+        assert (2, 728 - 8) in powersum._store[F9]
+        # the level below is stored: the direct sum alone, no box
+        monkeypatch.setattr(powersum, "_fill_levels", None)
+        powersum._store[F2].pop((3, 255))
+        power_sum_formula(3, -255, F2)
+
+
 def _snapshot():
     return {f: dict(m) for f, m in powersum._store.items()}, powersum._store_bits
 
@@ -354,6 +471,12 @@ class TestStore:
         27: [(d, k) for d in (1, 2) for k in (26, 52, 100, 728)],
         257: [(d, k) for d in (1, 2) for k in (256, 512, 700, 1000)],
     }
+
+    route = "rule"
+
+    @pytest.fixture(autouse=True)
+    def _route(self, monkeypatch):
+        _force(monkeypatch, self.route)
 
     @pytest.mark.parametrize("q", sorted(CELLS))
     def test_cold_and_warm_values_agree(self, q):
@@ -399,8 +522,10 @@ class TestStore:
         powersum._clear_store()
         with pytest.raises(ResourceLimitError):
             power_sum_formula(2, -66048, field)
-        # the depth-0 nodes and the depth-1 node of the guarded cell
+        # the depth-1 node of the guarded cell, and a level over a digit box
+        # (S(1, -c) for c = 257 * b, b <= 4)
         power_sum_formula(1, -66048, field)
+        power_sum_formula(2, -1028, field)
         with pytest.raises(ResourceLimitError):
             power_sum_formula(2, -66048, field)
 
@@ -438,3 +563,16 @@ class TestStore:
         assert errors == []
         assert got == expected
         assert powersum._store_bits == _charged()
+
+
+class TestStoreLevelRoute(TestStore):
+    """The store tests with every fill below a missing node taken a whole
+    level at a time."""
+
+    route = "level"
+
+
+class TestStoreNodeRoute(TestStore):
+    """The store tests with every fill taken node by node."""
+
+    route = "node"

@@ -269,8 +269,7 @@ def test_parity_mismatch_names_q_and_s(monkeypatch, reference):
 )
 def test_suite_refuses_field_too_wide_for_limbs(monkeypatch, suite):
     # called directly, as run_suites and the CLI are not in front: 2^61 - 1
-    # is refused by the field-size rule before it is tested for primality,
-    # which by trial division would not finish
+    # is refused by the field-size rule before it is tested for primality
     is_prime = digitlab._is_prime
 
     def refused(n):
