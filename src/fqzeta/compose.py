@@ -22,21 +22,35 @@ largest and the unique minimum-weight member, which gives fast structural
 routes to the greedy, modest and optimal compositions.  The selections
 made from the full enumeration, their independent oracle, live in verify.
 
+Each cache is keyed by what its value depends on, and holds at most
+CACHE_LIMIT entries:
+
+* _target(n, q): a target's digit record, read in one walk: its class
+  vector, the (q-1)-scaled digit-sum coordinates, the per-class (p-power,
+  multiplicity) groups and the digit sum;
+* _class_columns(class vector, d, q): the sorted columns of the valid
+  matrices, which depend on the class vector only, not on the target;
+* valid_class_matrices(n, d, q): those columns as ClassMatrix objects of
+  target n, each of which computes its monotone parts once, on first use,
+  for modest, optimal_set and greedy alike;
+* _class_sums(powers, caps): the per-class sum tables below.
+
 A matrix expands to the product, over digit classes, of per-class sum
 tables: each lists the per-column sums for every way to hand one class's
 p-powers to the columns, and depends only on the class's (p-power,
-multiplicity) pairs and the column counts.  The tables and each target's
-per-class grouping are cached (CACHE_LIMIT entries each), so every
-matrix, target, field and caller with the same key shares one table; the
-enumerations themselves are not cached, since their size grows with the
-output.  A table is built and cached only up to TABLE_ROWS rows, so the
-cache holds at most CACHE_LIMIT * TABLE_ROWS rows; the default-scale
-verify suites leave 4,267 tables of at most 894 rows, 115,686 in all,
-and the largest table of the q = 2 target 1023 at d = 4 has 25,200 rows
-in about 3.7 MB.  A class with more assignments than TABLE_ROWS is
-walked lazily, split by split of its largest power down to uncached
-tables of the rest, in the same order; so an enumeration's max_results
-cap stops it after that many results, whatever the size of its classes.
+multiplicity) pairs and the column counts, so every matrix, target, field
+and caller with the same key shares one table; the enumerations
+themselves are not cached, since their size grows with the output.  The
+default-scale verify suites (compose and powersum) read 6,475 cells of
+1,777 targets through 546 column searches, and leave 4,267 tables of at
+most 894 rows, 115,686 in all; the largest table of the q = 2 target
+1023 at d = 4 has 25,200 rows in about 3.7 MB.  A table's rows are
+counted from its split counts before it is built, and it is built and
+cached only up to TABLE_ROWS rows, so the cache holds at most
+CACHE_LIMIT * TABLE_ROWS rows.  A class with more assignments is walked
+lazily, split by split of its largest power down to uncached tables of
+the rest, in the same order; so an enumeration's max_results cap stops
+it after that many results, whatever the size of its classes.
 
 A tuple expanded from a valid class matrix is carry-free (its columns sum
 to the target's class vector) and q-even in its constrained slots (those
@@ -51,19 +65,18 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
-from operator import add, sub
-from typing import Iterable, Iterator, Optional, Sequence
+from functools import cached_property, lru_cache
+from operator import add, mul, sub
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .digitlab import (
     CACHE_LIMIT,
+    ClassVector,
     PrimePower,
+    _scaled_coords,
     _shift_weights,
     base_digits,
-    capacity_equals,
-    capacity_exceeds,
     carry_free_add,
-    digit_class_vector,
 )
 from .errors import EmptySetError, ResourceLimitError
 
@@ -111,8 +124,8 @@ class Composition:
             raise ValueError("composition needs at least one part")
         if carry_free_add(self.parts, self.q.p) != self.target:
             raise ValueError("parts must sum carry-free to the target")
-        cons = self.constrained_slice
-        if any(p <= 0 or not self.q.is_q_even(p) for p in cons):
+        qm1 = self.q.q - 1  # a part is q-even when q - 1 divides it
+        if any(p <= 0 or p % qm1 for p in self.constrained_slice):
             raise ValueError("constrained parts must be positive and q-even")
 
     @classmethod
@@ -122,10 +135,8 @@ class Composition:
         """Composition of parts already known to be valid: only for tuples
         expanded from a valid class matrix."""
         self = object.__new__(cls)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "target", target)
+        # one dict update in place of a frozen __setattr__ per field
+        self.__dict__.update(q=q, parts=parts, kind=kind, target=target)
         return self
 
     @property
@@ -163,9 +174,8 @@ class ClassMatrix:
         return tuple(tuple(col[i] for col in self.columns) for i in range(f))
 
     def is_valid(self) -> bool:
-        total = digit_class_vector(self.target, self.q).entries
-        sums = tuple(sum(col[i] for col in self.columns) for i in range(self.q.f))
-        if sums != total:
+        sums = tuple(map(sum, zip(*self.columns)))
+        if sums != _target(self.target, self.q).entries:
             return False
         powers = _shift_weights(self.q, 0)
         qm1 = self.q.q - 1
@@ -174,18 +184,54 @@ class ClassMatrix:
                 return False
         return True
 
+    # The monotone parts of a valid matrix, computed on first use: the
+    # matrices of valid_class_matrices are cached, so each cell's parts
+    # are built once for modest, optimal_set and greedy together.
+    @cached_property
+    def _tail_parts(self) -> tuple[int, ...]:
+        return _monotone_parts(self.columns, _target(self.target, self.q).classes)
+
+    @cached_property
+    def _head_parts(self) -> tuple[int, ...]:
+        # greedy's: the monotone parts of the reversed columns
+        return _monotone_parts(
+            self.columns[::-1], _target(self.target, self.q).classes
+        )
+
+
+class _Target(NamedTuple):
+    """What compose reads of a target's base-p digits, gathered in one walk."""
+
+    entries: tuple[int, ...]  # the digit class vector
+    scaled: tuple[int, ...]  # (q-1) times its digit-sum coordinates
+    # per digit class (exponent mod f), the (p-power, multiplicity) pairs
+    # of the nonzero digits, largest power first; and each class's powers
+    # repeated by their multiplicities, as power_classes returns them
+    groups: tuple[tuple[tuple[int, int], ...], ...]
+    classes: tuple[tuple[int, ...], ...]
+    digit_sum: int
+
 
 @lru_cache(maxsize=CACHE_LIMIT)
-def _class_powers(n: int, q: PrimePower) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Per digit class (exponent mod f), the (p-power, multiplicity) pairs
-    of n's nonzero base-p digits, largest power first.  Cached
-    (CACHE_LIMIT entries): the one walk over a target's digits."""
+def _target(n: int, q: PrimePower) -> _Target:
+    """The digit record of a positive target.  Cached (CACHE_LIMIT
+    entries): the one walk over a target's digits."""
+    if n <= 0:
+        raise ValueError(f"n must be positive, got {n}")
+    entries = [0] * q.f
     groups: list[list[tuple[int, int]]] = [[] for _ in range(q.f)]
     digits = base_digits(n, q.p)
     for j in range(len(digits) - 1, -1, -1):
         if digits[j]:
+            entries[j % q.f] += digits[j]
             groups[j % q.f].append((q.p**j, digits[j]))
-    return tuple(tuple(g) for g in groups)
+    return _Target(
+        tuple(entries),
+        _scaled_coords(ClassVector(q, tuple(entries))),
+        tuple(map(tuple, groups)),
+        tuple(tuple(val for val, m in g for _ in range(m)) for g in groups),
+        sum(digits),
+    )
 
 
 def power_classes(n: int, q: PrimePower) -> tuple[tuple[int, ...], ...]:
@@ -193,10 +239,7 @@ def power_classes(n: int, q: PrimePower) -> tuple[tuple[int, ...], ...]:
     per residue class (mod f) of the exponent."""
     if n <= 0:
         raise ValueError("n must be positive")
-    return tuple(
-        tuple(val for val, mult in group for _ in range(mult))
-        for group in _class_powers(n, q)
-    )
+    return _target(n, q).classes
 
 
 def _even_dot(entries: Sequence[int], powers: Sequence[int], qm1: int) -> bool:
@@ -206,7 +249,7 @@ def _even_dot(entries: Sequence[int], powers: Sequence[int], qm1: int) -> bool:
 
 
 def _digit_guard(n: int, q: PrimePower) -> None:
-    total = sum(base_digits(n, q.p))
+    total = _target(n, q).digit_sum
     if total > DIGIT_SUM_LIMIT:
         raise ResourceLimitError(
             f"base-{q.p} digit sum of {n} is {total}, above the limit "
@@ -247,23 +290,30 @@ def _iter_columns(
 
 
 @lru_cache(maxsize=CACHE_LIMIT)
+def _class_columns(
+    entries: tuple[int, ...], d: int, q: PrimePower
+) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The columns of every valid d-column class matrix of the class
+    vector entries, sorted.  Cached (CACHE_LIMIT entries): they depend only
+    on the class vector, so every target sharing it shares one search."""
+    rows = tuple(_shift_weights(q, i) for i in range(q.f))
+    return tuple(sorted(_iter_columns(entries, d, rows, q.q - 1)))
+
+
+@lru_cache(maxsize=CACHE_LIMIT)
 def valid_class_matrices(n: int, d: int, q: PrimePower) -> tuple[ClassMatrix, ...]:
     """All d-column class matrices for tail-free compositions of n.
 
     Columns sum to the digit class vector of n and all but the last are
     nonzero even-class.  Returned sorted by flattened column entries.
     Cached (CACHE_LIMIT entries); the matrices are frozen, so callers
-    share them.
+    share them, and their monotone parts with them.
     """
     if n <= 0 or d <= 0:
         raise ValueError("need n >= 1 and d >= 1")
     _digit_guard(n, q)
-    total = digit_class_vector(n, q).entries
-    rows = tuple(_shift_weights(q, i) for i in range(q.f))
-    columns = _iter_columns(total, d, rows, q.q - 1)
-    mats = [ClassMatrix(q, cols, n) for cols in columns]
-    mats.sort(key=lambda m: m.columns)
-    return tuple(mats)
+    columns = _class_columns(_target(n, q).entries, d, q)
+    return tuple(ClassMatrix(q, cols, n) for cols in columns)
 
 
 def _monotone_parts(
@@ -292,10 +342,7 @@ def monotone_rep(matrix: ClassMatrix) -> Composition:
     """
     if not matrix.is_valid():
         raise ValueError("matrix is not valid for its target")
-    parts = _monotone_parts(
-        matrix.columns, power_classes(matrix.target, matrix.q)
-    )
-    return Composition._trusted(matrix.q, parts, TAIL, matrix.target)
+    return Composition._trusted(matrix.q, matrix._tail_parts, TAIL, matrix.target)
 
 
 # ---------------------------------------------------------------------------
@@ -303,16 +350,47 @@ def monotone_rep(matrix: ClassMatrix) -> Composition:
 # ---------------------------------------------------------------------------
 
 
-def _bounded_compositions(
-    total: int, caps: tuple[int, ...]
-) -> Iterator[tuple[int, ...]]:
-    if len(caps) == 1:
-        if total <= caps[0]:
-            yield (total,)
-        return
-    for y in range(min(total, caps[0]) + 1):
-        for rest in _bounded_compositions(total - y, caps[1:]):
-            yield (y,) + rest
+def _splits(total: int, caps: Sequence[int]) -> list[tuple[int, ...]]:
+    # every (y_0, ..., y_{d-1}) with sum total and y_i <= caps[i], in
+    # lexicographic order; a prefix that the caps after it cannot
+    # complete is never extended
+    if total == 1:  # the common case: one column takes the one power
+        d = len(caps)
+        return [
+            (0,) * i + (1,) + (0,) * (d - 1 - i)
+            for i in range(d - 1, -1, -1)
+            if caps[i]
+        ]
+    partial = [((), total)]
+    room = sum(caps)
+    for cap in caps[:-1]:
+        room -= cap
+        partial = [
+            (split + (y,), rest - y)
+            for split, rest in partial
+            for y in range(max(0, rest - room), min(rest, cap) + 1)
+        ]
+    return [split + (rest,) for split, rest in partial if rest <= caps[-1]]
+
+
+def _table_rows(powers: tuple[tuple[int, int], ...], caps: tuple[int, ...]) -> int:
+    """The number of rows of the class table of (powers, caps), counted
+    from split counts without building it.
+
+    Pass by pass, the partials are counted per caps left, held sorted:
+    how a partial can go on depends only on that multiset.  The last
+    power fills what the others leave, so each partial before it is one
+    row.
+    """
+    counts = {tuple(sorted(caps)): 1}
+    for _, mult in powers[:-1]:
+        grown: dict[tuple[int, ...], int] = {}
+        for left, ways in counts.items():
+            for split in _splits(mult, left):
+                key = tuple(sorted(map(sub, left, split)))
+                grown[key] = grown.get(key, 0) + ways
+        counts = grown
+    return sum(counts.values())
 
 
 @lru_cache(maxsize=CACHE_LIMIT)
@@ -321,33 +399,38 @@ def _class_sums(
 ) -> Optional[tuple[tuple[int, ...], ...]]:
     """Per-column sums for every way to hand one digit class's p-powers
     to the columns, column i taking caps[i] of them; None when there are
-    more than TABLE_ROWS of them.
+    more than TABLE_ROWS of them, which _table_rows tells before any is
+    built.
 
-    powers are the class's (value, multiplicity) pairs, largest first.
-    One pass per distinct power extends each partial (sums, caps left) by
-    every split of its multiplicity, so the table is ordered with the
-    largest power's split most significant.  A partial extends to at
-    least one row and distinct partials to distinct rows, so the build
-    stops as soon as the partials outnumber TABLE_ROWS.  Cached
+    powers are the class's (value, multiplicity) pairs, largest first,
+    and the caps sum to the multiplicities.  One pass per distinct power
+    but the last extends each partial (sums, caps left) by every split of
+    its multiplicity, so the table is ordered with the largest power's
+    split most significant; the last power takes the caps left.  Cached
     (CACHE_LIMIT entries): the table depends only on (powers, caps), so
     every matrix, target and field with the same key shares it.
     """
+    # each p-power but the last goes to one of the columns: the count is
+    # needed only when that bound does not settle it
+    free = sum(caps) - (powers[-1][1] if powers else 0)
+    if len(caps) ** free > TABLE_ROWS and _table_rows(powers, caps) > TABLE_ROWS:
+        return None
     partial = [((0,) * len(caps), caps)]
-    for val, mult in powers:
-        steps: dict = {}  # caps left -> [(added sums, caps left after)]
-        grown = []
-        for sums, left in partial:
-            opts = steps.get(left)
-            if opts is None:
-                opts = steps[left] = [
-                    (tuple(y * val for y in split), tuple(map(sub, left, split)))
-                    for split in _bounded_compositions(mult, left)
-                ]
-            grown.extend((tuple(map(add, sums, step)), rest) for step, rest in opts)
-            if len(grown) > TABLE_ROWS:
-                return None
-        partial = grown
-    return tuple(sums for sums, left in partial if not any(left))
+    for val, mult in powers[:-1]:
+        steps = {  # caps left -> [(added sums, caps left after)]
+            left: [
+                (tuple([y * val for y in split]), tuple(map(sub, left, split)))
+                for split in _splits(mult, left)
+            ]
+            for left in {left for _, left in partial}
+        }
+        partial = [
+            (tuple(map(add, sums, step)), rest)
+            for sums, left in partial
+            for step, rest in steps[left]
+        ]
+    last = itertools.repeat(powers[-1][0] if powers else 0)
+    return tuple(tuple(map(add, sums, map(mul, left, last))) for sums, left in partial)
 
 
 def _iter_class_sums(
@@ -359,7 +442,7 @@ def _iter_class_sums(
     # order: every split of the largest power, then the rest of the class.
     # The rest's tables are built uncached, since they are not shared.
     (val, mult), rest = powers[0], powers[1:]
-    for split in _bounded_compositions(mult, caps):
+    for split in _splits(mult, caps):
         left = tuple(map(sub, caps, split))
         head = tuple(b + y * val for b, y in zip(base, split))
         table = _class_sums.__wrapped__(rest, left)
@@ -392,7 +475,7 @@ def _iter_matrix_expansion(
     matrix: ClassMatrix,
 ) -> Iterator[tuple[int, ...]]:
     columns = matrix.columns
-    groups = _class_powers(matrix.target, matrix.q)
+    groups = _target(matrix.target, matrix.q).groups
     keys = [
         (group, tuple(col[c] for col in columns)) for c, group in enumerate(groups)
     ]
@@ -454,8 +537,14 @@ def tail_free_nonempty(n: int, d: int, q: PrimePower) -> bool:
     capacity exceeds d-1."""
     if n <= 0 or d <= 0:
         return False
-    v = digit_class_vector(n, q)
-    return capacity_equals(v, d - 1) or capacity_exceeds(v, d - 1)
+    # digitlab's capacity_equals(v, d - 1) or capacity_exceeds(v, d - 1),
+    # on the target's scaled coordinates
+    qm1 = q.q - 1
+    scaled = _target(n, q).scaled
+    low, bound = min(scaled), (d - 1) * qm1
+    return low > bound or (
+        d > 1 and low == bound and all(c % qm1 == 0 for c in scaled)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -464,9 +553,7 @@ def tail_free_nonempty(n: int, d: int, q: PrimePower) -> bool:
 
 
 def _tail_monotone_reps(n: int, d: int, q: PrimePower) -> list[tuple[int, ...]]:
-    mats = valid_class_matrices(n, d, q)
-    classes = power_classes(n, q)
-    return [_monotone_parts(m.columns, classes) for m in mats]
+    return [m._tail_parts for m in valid_class_matrices(n, d, q)]
 
 
 def modest(target: int, d: int, q: PrimePower, kind: str = HEAD) -> Composition:
@@ -499,14 +586,7 @@ def greedy(k: int, d: int, q: PrimePower) -> Composition:
     mats = valid_class_matrices(k, d + 1, q)
     if not mats:
         raise EmptySetError(f"no head-free compositions of {k} at d={d}")
-    classes = power_classes(k, q)
-    best: Optional[tuple[int, ...]] = None
-    for m in mats:
-        head_cols = m.columns[::-1]
-        parts = _monotone_parts(head_cols, classes)
-        if best is None or parts > best:
-            best = parts
-    return Composition._trusted(q, best, HEAD, k)
+    return Composition._trusted(q, max(m._head_parts for m in mats), HEAD, k)
 
 
 def optimal_set(n: int, d: int, q: PrimePower) -> tuple[Composition, ...]:
@@ -518,10 +598,7 @@ def optimal_set(n: int, d: int, q: PrimePower) -> tuple[Composition, ...]:
     reps = _tail_monotone_reps(n, d, q)
     if not reps:
         raise EmptySetError(f"no tail-free compositions of {n} at d={d}")
-    comps = [Composition._trusted(q, parts, TAIL, n) for parts in reps]
-    best = min(c.weight for c in comps)
-    winners = sorted(
-        (c for c in comps if c.weight == best), key=lambda c: c.parts
-    )
-    return tuple(winners)
-
+    weights = [sum(map(mul, range(1, d + 1), parts)) for parts in reps]
+    best = min(weights)
+    winners = sorted(parts for parts, w in zip(reps, weights) if w == best)
+    return tuple(Composition._trusted(q, parts, TAIL, n) for parts in winners)

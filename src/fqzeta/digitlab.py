@@ -151,6 +151,17 @@ def base_digits(n: int, base: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
+def _digit_sum(n: int, p: int) -> int:
+    # the sum of the base-p digits of n >= 0, with no digit tuple
+    if p == 2:
+        return n.bit_count()
+    total = 0
+    while n:
+        n, d = divmod(n, p)
+        total += d
+    return total
+
+
 def carry_free_add(parts: Sequence[int], p: int) -> Optional[int]:
     """Add integers digit-by-digit in base p, refusing any carry.
 
@@ -158,12 +169,11 @@ def carry_free_add(parts: Sequence[int], p: int) -> Optional[int]:
     (the "carries" marker) otherwise.  The carry case is an ordinary value,
     not an error: enumeration code uses it for cheap rejection.
     """
-    if any(part < 0 for part in parts):
+    if min(parts, default=0) < 0:
         raise ValueError("parts must be non-negative")
     total = sum(parts)
-    digit_sum_total = sum(sum(base_digits(part, p)) for part in parts)
     # A base-p addition is carry-free iff digit sums are additive.
-    if digit_sum_total == sum(base_digits(total, p)):
+    if sum(_digit_sum(part, p) for part in parts) == _digit_sum(total, p):
         return total
     return None
 

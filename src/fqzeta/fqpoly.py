@@ -155,14 +155,52 @@ def _fp_monics(deg: int, p: int) -> Iterator[tuple[int, ...]]:
         yield tuple(lower) + (1,)
 
 
+def _fp_mulmod(a: Sequence[int], b: Sequence[int], m: Sequence[int], p: int) -> tuple[int, ...]:
+    if not a or not b:
+        return ()
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+    return _fp_mod([c % p for c in prod], m, p)
+
+
+def _fp_gcd(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
+    # Euclid over F_p, each divisor first made monic; the last nonzero
+    # remainder, up to a unit
+    a, b = tuple(a), tuple(b)
+    while b:
+        inv = pow(b[-1], -1, p)
+        b_monic = tuple(c * inv % p for c in b)
+        a, b = b_monic, _fp_mod(a, b_monic, p)
+    return a
+
+
 def _fp_is_irreducible(m: Sequence[int], p: int) -> bool:
-    # trial division by every monic of degree <= deg(m)/2
-    deg = len(m) - 1
-    if deg == 1:
+    # Rabin's test (M. O. Rabin, SIAM J. Comput. 9, 1980): a monic m of
+    # degree f is irreducible over F_p iff x^(p^f) = x mod m and
+    # gcd(x^(p^(f/r)) - x, m) = 1 for every prime r dividing f
+    f = len(m) - 1
+    if f == 1:
         return True
-    for d in range(1, deg // 2 + 1):
-        for cand in _fp_monics(d, p):
-            if _fp_mod(m, cand, p) == ():
+    x = (0, 1)
+    frobenius = [x]  # x^(p^i) mod m for i = 0 .. f
+    for _ in range(f):
+        base, e, power = frobenius[-1], p, (1,)
+        while e:
+            if e & 1:
+                power = _fp_mulmod(power, base, m, p)
+            base = _fp_mulmod(base, base, m, p)
+            e >>= 1
+        frobenius.append(power)
+    if frobenius[f] != x:
+        return False
+    for r in range(2, f + 1):
+        if f % r == 0 and _is_prime(r):
+            diff = list(frobenius[f // r]) + [0] * 2
+            diff[1] = (diff[1] - 1) % p
+            if len(_fp_gcd(m, _fp_strip(diff), p)) != 1:
                 return False
     return True
 
@@ -367,8 +405,8 @@ def make_field(p: int, f: int) -> FieldSpec:
 
     The modulus is the lexicographically smallest monic irreducible of
     degree f over F_p, coefficients compared low-to-high as a base-p
-    integer; irreducibility is certified by trial division against every
-    monic polynomial of degree at most f/2.  Raises ValueError when f < 1
+    integer; irreducibility is certified by Rabin's test, in O(f) powers
+    x^p mod m(x) and one gcd per prime divisor of f.  Raises ValueError when f < 1
     or (p-1)^2 * f + p - 1 does not fit a 64-bit limb, both before p is
     tested for primality.  Fields are cached (CACHE_LIMIT entries); an
     evicted field is rebuilt equal by value.

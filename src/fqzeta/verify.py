@@ -15,6 +15,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable, Sequence
 
 from . import compose, digitlab, fqpoly, mzv, powersum
@@ -530,12 +531,11 @@ def run_compose_suite(
             if rest >= 1:
                 best = None
                 best_weight = None
-                classes = compose.power_classes(rest, pp)
                 for matrix in compose.valid_class_matrices(rest, d - 1, pp):
                     last_col = matrix.columns[-1]
                     if not digitlab.is_even_class(ClassVector(pp, last_col)):
                         continue
-                    cand = compose._monotone_parts(matrix.columns, classes)
+                    cand = matrix._tail_parts
                     w = sum((j + 1) * x for j, x in enumerate(cand))
                     if best is None or cand > best:
                         best = cand
@@ -787,10 +787,11 @@ def run_power_sum_suite(
                 for k in range(1, kmax + 1):
                     minw = maxw = None
                     min_count = max_count = 0
-                    comps = compose.enumerate_head_free(k, d, pp)
-                    nonempty[(q, d, k)] = bool(comps)
-                    for comp in comps:
-                        w = comp.weight
+                    # the head-free index set is the tail-free one reversed:
+                    # head part m_j is tail part d - j, so the head weight
+                    # sum (d - j) * m_j is sum i * X_i over the tail parts
+                    for tail in compose.iter_tail_free_parts(k, d + 1, pp):
+                        w = sum(map(mul, range(d + 1), tail))
                         if minw is None or w < minw:
                             minw, min_count = w, 1
                         elif w == minw:
@@ -799,6 +800,7 @@ def run_power_sum_suite(
                             maxw, max_count = w, 1
                         elif w == maxw:
                             max_count += 1
+                    nonempty[(q, d, k)] = minw is not None
                     poly = formula_cache.get((q, d, k))
                     if poly is None:
                         poly = powersum.power_sum_formula(
@@ -829,9 +831,8 @@ def run_power_sum_suite(
             for d in range(0, dmax + 1):
                 for k in range(1, kmax + 1):
                     if d > 0 and (q, d, k) not in nonempty:
-                        nonempty[(q, d, k)] = bool(
-                            compose.enumerate_head_free(k, d, pp)
-                        )
+                        first = next(compose.iter_tail_free_parts(k, d + 1, pp), None)
+                        nonempty[(q, d, k)] = first is not None
                     empty = d > 0 and not nonempty[(q, d, k)]
                     poly = formula_cache.get((q, d, k))
                     if poly is None:

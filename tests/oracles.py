@@ -29,6 +29,30 @@ def naive_carry_free(parts, p) -> bool:
     return all(v < p for v in cols.values())
 
 
+def unpruned_class_matrices(n: int, d: int, q: int, p: int) -> list[tuple]:
+    """The columns of every valid d-column class matrix of n, sorted: every
+    d-tuple of columns below n's digit class vector, kept when the columns
+    sum to it and all but the last are nonzero and even-class (the
+    integers with those digit counts per class are q-even, so their
+    weighted count sum c_i * p^i is divisible by q - 1)."""
+    f = 1
+    while p**f < q:
+        f += 1
+    total = [0] * f
+    for j, digit in enumerate(digits_of(n, p)):
+        total[j % f] += digit
+    columns = list(itertools.product(*[range(e + 1) for e in total]))
+
+    def even(col):
+        return any(col) and sum(c * p**i for i, c in enumerate(col)) % (q - 1) == 0
+
+    return sorted(
+        cols
+        for cols in itertools.product(columns, repeat=d)
+        if list(map(sum, zip(*cols))) == total and all(map(even, cols[:-1]))
+    )
+
+
 def naive_vanishing_threshold(k: int, q: int, p: int) -> Fraction:
     """L(k) by its literal definition: the minimum over p^i < q of the
     base-q digit sum of k * p^i, divided by q - 1."""
@@ -125,6 +149,17 @@ def fp_poly_mulmod(a, b, modulus, p):
                 ) % p
     prod += [0] * (deg - len(prod))
     return tuple(prod)
+
+
+def naive_is_irreducible(m, p) -> bool:
+    """Trial division of the monic m (coefficients low degree first) over
+    F_p by every monic of degree 1 .. deg(m) / 2."""
+    deg = len(m) - 1
+    for d in range(1, deg // 2 + 1):
+        for lower in itertools.product(range(p), repeat=d):
+            if not any(fp_poly_mulmod(m, (1,), lower + (1,), p)):
+                return False
+    return True
 
 
 def naive_poly_text(codes, p, f):

@@ -145,7 +145,9 @@ class TestClassMatrices:
         for n, d, q in ((131, 2, q9), (131, 3, q9), (255, 3, q2), (40, 2, q9)):
             first = valid_class_matrices(n, d, q)
             assert valid_class_matrices(n, d, q) is first
-            assert first == valid_class_matrices.__wrapped__(n, d, q)
+            assert all(m.q == q and m.target == n for m in first)
+            fresh = oracles.unpruned_class_matrices(n, d, q.q, q.p)
+            assert [m.columns for m in first] == fresh
 
     def test_d1_single_matrix(self, q9):
         mats = valid_class_matrices(131, 1, q9)

@@ -8,23 +8,27 @@ pruned class-matrix search must equal an unpruned filter over every
 d-tuple of columns; and each matrix's expansion from the cached per-class
 sum tables must equal the naive tail-free filter restricted to its
 columns, in the order pinned by a digest, which the lazy walk of a class
-too large for a table must keep too.
+too large for a table must keep too; and a class table's row count, taken
+before any row is built, must equal the rows built.
 """
 
 import hashlib
 from itertools import product
+from math import factorial
 
 import pytest
 
 from fqzeta.compose import (
     HEAD,
     TAIL,
-    ClassMatrix,
     Composition,
-    _class_powers,
+    _class_columns,
     _class_sums,
     _iter_class_sums,
     _iter_matrix_expansion,
+    _splits,
+    _table_rows,
+    _target,
     enumerate_head_free,
     enumerate_tail_free,
     greedy,
@@ -35,7 +39,7 @@ from fqzeta.compose import (
     tail_free_nonempty,
     valid_class_matrices,
 )
-from fqzeta.digitlab import CACHE_LIMIT, PrimePower, digit_class_vector
+from fqzeta.digitlab import CACHE_LIMIT, PrimePower
 
 import oracles
 
@@ -94,23 +98,36 @@ def test_head_free_matches_naive_filter(q):
             assert set(got) == oracles.naive_head_free(k, d, q, pp.p), (k, d)
 
 
-def unpruned_class_matrices(n, d, pp):
-    total = digit_class_vector(n, pp).entries
-    columns = list(product(*[range(e + 1) for e in total]))
-    return sorted(
-        cols
-        for cols in product(columns, repeat=d)
-        if ClassMatrix(pp, cols, n).is_valid()
-    )
-
-
-@pytest.mark.parametrize("q, nmax", [(4, 64), (8, 64), (27, 60)])
+# q = 2, 3 and 9 have many targets per class vector, which share one
+# column search; each must still get matrices of its own target
+@pytest.mark.parametrize(
+    "q, nmax", [(2, 64), (3, 64), (4, 64), (8, 64), (9, 40), (27, 60)]
+)
 def test_pruning_matches_unpruned_filter(q, nmax):
     pp = PrimePower.from_q(q)
     for n in range(1, nmax + 1):
         for d in range(1, 4):
-            got = [m.columns for m in valid_class_matrices(n, d, pp)]
-            assert got == unpruned_class_matrices(n, d, pp), (n, d)
+            mats = valid_class_matrices(n, d, pp)
+            assert all(m.q == pp and m.target == n for m in mats), (n, d)
+            got = [m.columns for m in mats]
+            assert got == oracles.unpruned_class_matrices(n, d, q, pp.p), (n, d)
+
+
+def test_process_caches_bounded():
+    for cached in (_class_columns, _target, _class_sums, valid_class_matrices):
+        assert cached.cache_info().maxsize == CACHE_LIMIT
+
+
+def test_columns_shared_by_class_vector():
+    # 7 = 21_3 and 11 = 102_3 have the digit sum 3: one column search
+    q3 = PrimePower.from_q(3)
+    _class_columns.cache_clear()
+    valid_class_matrices.cache_clear()
+    assert _target(7, q3).entries == _target(11, q3).entries == (3,)
+    a, b = valid_class_matrices(7, 2, q3), valid_class_matrices(11, 2, q3)
+    assert [m.columns for m in a] == [m.columns for m in b]
+    assert {m.target for m in a} == {7} and {m.target for m in b} == {11}
+    assert _class_columns.cache_info().misses == 1
 
 
 # sha256 of repr([(q, n, d, list(iter_tail_free_parts(n, d, pp))) ...]) over
@@ -177,7 +194,7 @@ def test_class_sums_cached():
     for q, n, d in ((9, 131, 2), (27, 728, 3), (2, 255, 4)):
         pp = PrimePower.from_q(q)
         for m in valid_class_matrices(n, d, pp):
-            for c, group in enumerate(_class_powers(n, pp)):
+            for c, group in enumerate(_target(n, pp).groups):
                 caps = tuple(col[c] for col in m.columns)
                 table = _class_sums(group, caps)
                 assert _class_sums(group, caps) is table
@@ -187,13 +204,13 @@ def test_class_sums_cached():
 def test_class_sums_bounded(table_rows):
     # 2^16 - 1 at q = 2: the all-ones matrix's one class has 16! rows
     q2 = PrimePower.from_q(2)
-    group = _class_powers(2**16 - 1, q2)[0]
+    group = _target(2**16 - 1, q2).groups[0]
     assert _class_sums(group, (1,) * 16) is None
     # the lazy walk, split down to tables of at most 8 rows, yields a
     # table's rows in the table's order
     cases = []
     for n, d in ((63, 3), (255, 4)):
-        group = _class_powers(n, q2)[0]
+        group = _target(n, q2).groups[0]
         for m in valid_class_matrices(n, d, q2):
             caps = tuple(col[0] for col in m.columns)
             cases.append((group, caps, _class_sums.__wrapped__(group, caps)))
@@ -201,3 +218,27 @@ def test_class_sums_bounded(table_rows):
     for group, caps, table in cases:
         walked = list(_iter_class_sums(group, caps, (0,) * len(caps)))
         assert walked == list(table), caps
+
+
+def test_splits_in_lexicographic_order():
+    for caps in ((1,), (2,), (1, 1), (2, 0, 1), (1, 2, 2), (3, 1, 0, 2), (1,) * 5):
+        for total in range(sum(caps) + 2):
+            expected = [
+                split
+                for split in product(*[range(c + 1) for c in caps])
+                if sum(split) == total
+            ]
+            assert _splits(total, caps) == expected, (total, caps)
+
+
+def test_table_rows_counts_without_building():
+    for q, n, d in ((2, 255, 4), (3, 242, 3), (9, 131, 3), (27, 728, 3)):
+        pp = PrimePower.from_q(q)
+        for m in valid_class_matrices(n, d, pp):
+            for c, group in enumerate(_target(n, pp).groups):
+                caps = tuple(col[c] for col in m.columns)
+                table = _class_sums.__wrapped__(group, caps)
+                assert _table_rows(group, caps) == len(table), (q, n, caps)
+    # the all-ones matrix of 2^16 - 1: 16! rows, counted, not built
+    group = _target(2**16 - 1, PrimePower.from_q(2)).groups[0]
+    assert _table_rows(group, (1,) * 16) == factorial(16)

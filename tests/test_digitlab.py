@@ -24,7 +24,7 @@ from fqzeta import (
     split_capacity,
     vanishing_threshold,
 )
-from fqzeta.digitlab import _is_prime, base_digits
+from fqzeta.digitlab import _digit_sum, _is_prime, base_digits
 from fqzeta.verify import _digit_sum_base_q as digit_sum_base_q
 
 import oracles
@@ -107,6 +107,11 @@ class TestCarryFree:
         assert carry_free_add([2, 6], 3) == 8
         assert carry_free_add([17], 5) == 17  # identity
         assert carry_free_add([], 3) == 0
+
+    def test_digit_sums(self):
+        for p in (2, 3, 5, 7, 251):
+            for n in [*range(300), 2**64 - 1, 3**40 + 5]:
+                assert _digit_sum(n, p) == sum(oracles.digits_of(n, p)), (n, p)
 
     def test_matches_multiset_oracle(self):
         rng = random.Random(7)

@@ -58,6 +58,26 @@ class TestMakeField:
         with pytest.raises(ValueError):
             make_field(4, 1)
 
+    @pytest.mark.parametrize(
+        "p, fs",
+        [(2, range(2, 11)), (3, range(2, 7)), (5, (2, 3, 4)), (7, (2, 3, 4)), (13, (2, 3))],
+    )
+    def test_rabin_matches_trial_division(self, p, fs):
+        for f in fs:
+            for m in itertools.islice(fqpoly._fp_monics(f, p), 150):
+                expected = oracles.naive_is_irreducible(m, p)
+                assert fqpoly._fp_is_irreducible(m, p) == expected, m
+
+    def test_wide_moduli(self):
+        # moduli that trial division took seconds to hours to certify
+        for p, f, text in (
+            (65521, 2, "x^2+17"),
+            (1000003, 2, "x^2+1"),
+            (251, 4, "x^4+x+4"),
+            (2**31 - 1, 2, "x^2+1"),
+        ):
+            assert make_field.__wrapped__(p, f).modulus_text() == text
+
     def test_limb_capacity(self):
         # accepted up to (p-1)^2 * f + p - 1 < 2^64, exact on the packed path
         for p, f in ((65521, 1), (251, 2), (4294967291, 1)):

@@ -1,5 +1,6 @@
 """The power-sum suite's shared enumeration: one head-free pass per
-(q, d, k), two independently reported checks.
+(q, d, k), read as the reversed tail-free parts of (q, d + 1, k), two
+independently reported checks.
 
 The failure lines asserted here were taken from the suite before its two
 checks shared one enumeration.
@@ -19,25 +20,26 @@ def _by_name(results):
 
 
 def _empty_on(cell, monkeypatch):
-    enumerate_head_free = compose.enumerate_head_free
+    # the head-free cell (q, d, k) reads the tail-free parts of (k, d + 1)
+    iter_tail_free_parts = compose.iter_tail_free_parts
 
-    def wrong_on_one(k, d, q, *args, **kwargs):
-        if (q.q, d, k) == cell:
-            return ()
-        return enumerate_head_free(k, d, q, *args, **kwargs)
+    def wrong_on_one(n, d, q):
+        if (q.q, d - 1, n) == cell:
+            return iter(())
+        return iter_tail_free_parts(n, d, q)
 
-    monkeypatch.setattr(compose, "enumerate_head_free", wrong_on_one)
+    monkeypatch.setattr(compose, "iter_tail_free_parts", wrong_on_one)
 
 
 def test_one_enumeration_per_cell(monkeypatch):
     calls = Counter()
-    enumerate_head_free = compose.enumerate_head_free
+    iter_tail_free_parts = compose.iter_tail_free_parts
 
-    def counting(k, d, q, *args, **kwargs):
-        calls[q.q, d, k] += 1
-        return enumerate_head_free(k, d, q, *args, **kwargs)
+    def counting(n, d, q):
+        calls[q.q, d - 1, n] += 1
+        return iter_tail_free_parts(n, d, q)
 
-    monkeypatch.setattr(compose, "enumerate_head_free", counting)
+    monkeypatch.setattr(compose, "iter_tail_free_parts", counting)
     got = _by_name(verify.run_power_sum_suite(**SMALL))
     assert all(passed for passed, _ in got.values())
     assert calls == {
