@@ -20,6 +20,7 @@ import sys
 import tempfile
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from operator import add
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import __version__, compose, mzv, powersum, verify
@@ -259,57 +260,75 @@ def _cmd_compositions(args) -> int:
 
 _CSV_HEADER = "q,p,f,s_tuple,depth,value,valuation,classification,exact\r\n"
 
-# a sweep writer's memo of formatted values is cleared whole when it holds
-# this many before a row, so it stays small however long the sweep
-_MEMO_VALUES = 1024
+# a sweep writer reads back and formats its rows a chunk at a time: a chunk
+# closes once its values' bit lengths, with _VALUE_BITS more per value,
+# reach _CHUNK_BITS, so that chunks of long values and of zeros are both
+# bounded; a chunk holds at least one row
+_CHUNK_BITS = 1 << 19
+_VALUE_BITS = 256
 
 
-def _new_texts(field: FieldSpec, shown: dict, values: list[int]):
-    """(value, (text, valuation)) for each distinct value of a row that is
-    not in shown yet, read as one ``canonical_texts`` batch.  Clears shown
-    first when it holds ``_MEMO_VALUES`` values or more."""
-    if len(shown) >= _MEMO_VALUES:
-        shown.clear()
-    new = [n for n in dict.fromkeys(values) if n not in shown]
-    return zip(new, canonical_texts(field, new))
+def _chunk_texts(field: FieldSpec, rows) -> Iterator[tuple[list, dict]]:
+    """The rows of one sweep in chunks of at least one row, each with a
+    dict that maps each distinct value of the chunk to its (text,
+    valuation), read as one ``canonical_texts`` batch.  The dict is made
+    afresh per chunk, so it holds one chunk's values however long the
+    sweep."""
+    def read(chunk: list) -> tuple[list, dict]:
+        new = list(dict.fromkeys(itertools.chain.from_iterable(row[2] for row in chunk)))
+        return chunk, dict(zip(new, canonical_texts(field, new)))
+
+    chunk, bits = [], 0
+    for row in rows:
+        chunk.append(row)
+        bits += sum(map(int.bit_length, row[2])) + _VALUE_BITS * len(row[2])
+        if bits >= _CHUNK_BITS:
+            yield read(chunk)
+            chunk, bits = [], 0
+    if chunk:
+        yield read(chunk)
 
 
 def _sweep_csv(field: FieldSpec, rows) -> Iterator[str]:
-    """The CSV lines of one sweep, one string per grid row.
+    """The CSV lines of one sweep, one string per chunk of grid rows (see
+    ``_chunk_texts``).
 
     Within a sweep the depth is fixed, so the classification is a function
     of the value, and the tail `depth,value,valuation,classification,exact`
-    is formatted once per value that is not in the bounded memo.  The tail
-    and s_tuple hold no quote or line break, so each field is quoted, as by
-    the csv module, exactly when it has a comma: s_tuple at depth >= 2, the
-    value at f > 1 when it has a coordinate vector.
+    is formatted once per distinct value of a chunk.  The tail and s_tuple
+    hold no quote or line break, so each field is quoted, as by the csv
+    module, exactly when it has a comma: s_tuple at depth >= 2, the value
+    at f > 1 when it has a coordinate vector.
     """
     pp = field.pp
-    shown: dict[int, str] = {}
     qpf = f"{pp.q},{pp.p},{pp.f},"
     ends: list[str] = []  # x and the s_tuple's end, the same for every row
-    for head, tails, values in rows:
-        lead = qpf + '"' + ",".join(map(str, head)) + "," if head else qpf
-        if not ends:
-            ends = [f'{x}",' if head else f"{x}," for x in tails]
-        depth = len(head) + 1
-        for n, (text, val) in _new_texts(field, shown, values):
+    for chunk, texts in _chunk_texts(field, rows):
+        depth = len(chunk[0][0]) + 1
+        tail = {}
+        for n, (text, val) in texts.items():
             if "," in text:
                 text = f'"{text}"'
-            shown[n] = f"{depth},{text},{val},{mzv.classification(depth, n)},True\r\n"
-        yield "".join([f"{lead}{end}{shown[n]}" for end, n in zip(ends, values)])
+            tail[n] = f"{depth},{text},{val},{mzv.classification(depth, n)},True\r\n"
+        out = []
+        for head, tails, values in chunk:
+            lead = qpf + '"' + ",".join(map(str, head)) + "," if head else qpf
+            if not ends:
+                ends = [f'{x}",' if head else f"{x}," for x in tails]
+            # the row's lines lead + end + tail, joined without a loop per line
+            out += [lead, lead.join(map(add, ends, map(tail.__getitem__, values)))]
+        yield "".join(out)
 
 
 def _sweep_records(field: FieldSpec, rows) -> Iterator[dict]:
-    """The JSON records of one sweep; text and valuation are built once
-    per value that is not in the bounded memo."""
-    shown: dict[int, tuple[str, object]] = {}
-    for head, tails, values in rows:
-        shown.update(_new_texts(field, shown, values))
-        depth = len(head) + 1
-        for x, n in zip(tails, values):
-            cls = mzv.classification(depth, n)
-            yield mzv.zeta_record(field, head + (x,), *shown[n], cls, True)
+    """The JSON records of one sweep; text and valuation are read once per
+    distinct value of a chunk of rows (see ``_chunk_texts``)."""
+    for chunk, texts in _chunk_texts(field, rows):
+        for head, tails, values in chunk:
+            depth = len(head) + 1
+            for x, n in zip(tails, values):
+                cls = mzv.classification(depth, n)
+                yield mzv.zeta_record(field, head + (x,), *texts[n], cls, True)
 
 
 def _sweep_task(task: tuple) -> list:
@@ -346,7 +365,8 @@ def _cmd_sweep(args) -> int:
         raise PreconditionError("index tuple must have depth >= 1")
     fields = {q: field_from_q(q) for q in sorted(qs)}
     box = [range(args.smin, args.smax + 1)] * args.depth
-    # each sweep has its own engine and its writer's memo of formatted values
+    # each sweep has its own engine, and its writer reads back and formats
+    # its rows a bounded chunk at a time
     writer = _sweep_records if args.format == "json" else _sweep_csv
 
     def emit(chunks: Iterable) -> None:
@@ -392,9 +412,13 @@ def _cmd_verify(args) -> int:
     )
     results = verify.run_suites(args.suite, **overrides)
     failed = [r for r in results if not r.passed]
-    summary = f"{len(results) - len(failed)}/{len(results)} checks passed\n"
-    _emit(itertools.chain((r.line() + "\n" for r in results), [summary]), None)
-    return EXIT_OK if not failed else EXIT_MISMATCH
+    guarded = sum(r.guarded for r in failed)
+    summary = f"{len(results) - len(failed)}/{len(results)} checks passed"
+    if guarded:
+        summary += f", {guarded} stopped by a resource guard"
+    _emit(itertools.chain((r.line() + "\n" for r in results), [summary + "\n"]), None)
+    # a disagreement outranks a guard trip
+    return EXIT_MISMATCH if len(failed) > guarded else EXIT_RESOURCE if guarded else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

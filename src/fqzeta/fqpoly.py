@@ -550,7 +550,10 @@ def product_sums(
     """Canonical packed sum over d of col[d] * factors[d] for each column of
     canonical packed values, d running while both last, renormalized by one
     ``canonical_values`` fold: plain ints when ``_products_fit`` admits
-    len(factors) terms and the longest factor, else ``PackedSum``s."""
+    len(factors) terms and the longest factor, else ``PackedSum``s.  With
+    no factors every sum is empty, 0."""
+    if not factors:
+        return [0] * len(columns)
     if _products_fit(field, len(factors), max(factors, default=0)):
         sums = [sum(map(mul, col, factors)) for col in columns]
     else:
@@ -679,7 +682,7 @@ def _canonical_codes(field: FieldSpec, values: Sequence[int]) -> tuple[np.ndarra
     fs, f = field, field.pp.f
     slots = [-(-n.bit_length() // fs._slot_bits) for n in values]
     width = fs._slot_bits // 8
-    raw = b"".join(n.to_bytes(s * width, "little") for n, s in zip(values, slots))
+    raw = b"".join([n.to_bytes(s * width, "little") for n, s in zip(values, slots)])
     rows = np.frombuffer(raw, f"<u{fs._limb_bits // 8}").reshape(-1, fs.pack_stride)
     weights = np.array([fs.pp.p**j for j in range(f)], np.uint64)
     codes = rows[:, 0] if f == 1 else rows[:, :f] @ weights
@@ -702,7 +705,7 @@ def canonical_texts(field: FieldSpec, values: Sequence[int]) -> list[tuple[str, 
     if not values:
         return []
     codes, starts = _canonical_codes(field, values)
-    nz = np.flatnonzero(codes)
+    nz = np.flatnonzero(codes != 0)  # a bool mask: nonzero is far faster on it
     cuts = np.searchsorted(nz, starts)
     degs = nz - np.repeat(starts[:-1], cuts[1:] - cuts[:-1])
     texts = _terms_texts(field, degs, codes[nz], cuts.tolist())
@@ -1155,10 +1158,12 @@ def _terms_texts(
         powers = np.array([*powers, *map("t^{}".format, range(len(powers), top))], object)
     # last term first, so that each polynomial's run reads high to low
     degs, codes, end = degs[::-1], codes[::-1], len(degs)
-    pieces, cs = powers[degs].tolist(), codes.tolist()
-    # terms other than t^k: a coefficient other than 1, or a constant
-    for i in np.flatnonzero((codes != 1) | (degs == 0)).tolist():
-        c, power = ctext(cs[i]), pieces[i]
+    pieces = powers[degs].tolist()
+    # terms other than t^k: a coefficient other than 1, or a constant; only
+    # their codes are read back
+    shown = np.flatnonzero((codes != 1) | (degs == 0))
+    for i, code in zip(shown.tolist(), codes[shown].tolist()):
+        c, power = ctext(code), pieces[i]
         pieces[i] = c + "*" + power if power else c
     return ["+".join(pieces[end - b : end - a]) or "0" for a, b in zip(cuts, cuts[1:])]
 

@@ -23,7 +23,8 @@ a single tuple is a sweep of one-entry ranges, and so a one-entry row.
 A checked value's class follows from it and the depth by the one rule
 ``classification``.  A row's values, the sums over d of S(d, s_r) *
 T(d + 1) with T the suffix sums of its head, and each suffix table are
-one ``fqpoly.product_sums`` call.
+one ``fqpoly.product_sums`` call.  Since only T(d + 1) is read, a suffix
+table starts at T(1); T(0), the head's own value, is never computed.
 
 Mixed and positive signs are evaluated with exact rational arithmetic;
 the series is finite exactly when s_1 < 0 (the leading degree is then
@@ -208,7 +209,11 @@ class _NegativeEngine:
     and so from the field's bounded store shared with
     ``power_sum_formula`` and every other engine, and, per head length,
     the suffix-sum table of the last head seen, so that a lexicographic
-    sweep reuses all shared heads.  Loop bounds come from
+    sweep reuses all shared heads; a table holds T(1), T(2), ..., not the
+    unread T(0).  The columns of a row's last entries are looked up once
+    for as long as rows keep the same tails, as a sweep's rows do, and
+    grown only when a row's factors are wider than any before.  Loop
+    bounds come from
     ``floors``, floor(L(k)) for each exponent k of the grid, read once from
     ``digitlab._threshold_floor``; a row's criterion is the one
     head-level ``_trivial_criterion``, decided once per row.
@@ -226,6 +231,9 @@ class _NegativeEngine:
         self._columns: dict[int, list[int]] = {k: [] for k in self.floors}
         self._levels: dict[int, tuple[tuple[int, ...], list[int]]] = {}
         self._ones = [1] * (max(self.floors.values()) + 1)
+        # the last row's tails, their columns, and the widest factor list
+        # those columns have been grown for
+        self._tails, self._tail_columns, self._width = None, [], 0
 
     def column(self, k: int, factors: Sequence[int]) -> list[int]:
         """S(d, k), canonical packed, for d = 0 .. n - 1 at least: n - 1 is
@@ -240,13 +248,17 @@ class _NegativeEngine:
             col.extend(power_sum_packed(d, k, self.field) for d in range(len(col), n))
         return col
 
-    def suffix_table(self, head: tuple[int, ...]) -> list[int]:
-        """T(m) for m = 0 .. floor(L(-head[-1])) + 1, canonical packed.
+    def suffix_table(self, head: tuple[int, ...]) -> list:
+        """T(m) at index m for m = 1 .. floor(L(-head[-1])) + 1, canonical
+        packed; index 0 holds None.
 
         T(m) sums, over chains d_1 > ... > d_i >= m (i = len(head), each
         d_j within the threshold of -head[j-1]), the products of
         S(d_j, head[j-1]); it is the product sum of the column S(d, k),
-        d >= m, with the factors of head[:-1].
+        d >= m, with the factors of head[:-1].  T(0) is the whole value
+        zeta(head), the widest entry and, for a trivial head, the only
+        nonzero one; the sums over one more entry read only T(d + 1), so it
+        is never computed.
         """
         i = len(head)
         cached = self._levels.get(i)
@@ -256,8 +268,9 @@ class _NegativeEngine:
         lead = self._factors(head[:-1])
         col = self.column(k, lead)
         n = min(len(col), len(lead))
-        columns = [[0] * m + col[m:n] for m in range(n)]
-        table = product_sums(self.field, columns, lead[:n]) + [0] * (self.floors[k] + 2 - n)
+        columns = [[0] * m + col[m:n] for m in range(1, n)]
+        table = [None, *product_sums(self.field, columns, lead[:n])]
+        table += [0] * (self.floors[k] + 2 - len(table))
         self._levels[i] = (head, table)
         return table
 
@@ -278,33 +291,39 @@ class _NegativeEngine:
         product sum of the column S(d, x) with the factors T(d + 1), T the
         suffix table of head (1 for the empty head).
 
-        The trivial-zero criterion ranges over i <= r-1 only, so it is
-        decided once for the row; every value is still compared with it,
-        and a disagreement raises VanishingMismatchError naming its tuple.
+        The columns of tails are looked up once while rows keep the same
+        tails, as a sweep's rows do, and grown only when a row's factors
+        outrun the widest seen for them; the factors have no trailing
+        zero, so the columns then hold every S the row sum reads.  The
+        trivial-zero criterion ranges over i <= r-1 only, so it is decided
+        once for the row; every value is still compared with it, all at
+        once, and a disagreement raises VanishingMismatchError naming the
+        first tuple, in the order of tails, that disagrees.
         """
-        floors = self.floors
         lead = self._factors(head)
-        width, columns = len(lead), []
-        for x in tails:
-            col = self._columns[-x]
-            if len(col) < width and len(col) <= floors[-x]:
+        if tails != self._tails:
+            self._tails, self._width = tails, 0
+            self._tail_columns = [self._columns[-x] for x in tails]
+        if len(lead) > self._width:
+            self._width = len(lead)
+            for x in tails:
                 self.column(-x, lead)
-            columns.append(col)
-        values = product_sums(self.field, columns, lead)
+        values = product_sums(self.field, self._tail_columns, lead)
         if not head:
             return values
         trivial = _trivial_criterion(head, self.field.pp)
-        for x, n in zip(tails, values):
-            if not n and not trivial:
-                raise VanishingMismatchError(
-                    f"zeta{head + (x,)} = 0 but no structural index forces it: "
-                    "either an arithmetic bug or a genuine counterexample"
-                )
-            if n and trivial:
-                raise VanishingMismatchError(
-                    f"zeta{head + (x,)} != 0 yet the trivial-zero criterion "
-                    "holds; arithmetic bug"
-                )
+        if any(values) if trivial else not all(values):
+            for x, n in zip(tails, values):
+                if not n and not trivial:
+                    raise VanishingMismatchError(
+                        f"zeta{head + (x,)} = 0 but no structural index forces it: "
+                        "either an arithmetic bug or a genuine counterexample"
+                    )
+                if n and trivial:
+                    raise VanishingMismatchError(
+                        f"zeta{head + (x,)} != 0 yet the trivial-zero criterion "
+                        "holds; arithmetic bug"
+                    )
         return values
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Callable, Sequence
 
-from . import compose, digitlab, fqpoly, mzv, powersum
+from . import compose, digitlab, errors, fqpoly, mzv, powersum
 from .compose import HEAD, TAIL
 from .digitlab import ClassVector, PrimePower
 from .errors import DegenerateCoverError, EmptySetError, FqzetaError, PreconditionError
@@ -40,13 +40,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check's outcome.  A check stopped by a resource guard has not
+    passed, but has not disagreed either: it is marked ``guarded`` and its
+    line reads GUARD instead of FAIL."""
+
     name: str
     passed: bool
     detail: str
     millis: int
+    guarded: bool = False
 
     def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
+        status = "PASS" if self.passed else "GUARD" if self.guarded else "FAIL"
         return f"{status} {self.name}: {self.detail} [{self.millis} ms]"
 
 
@@ -60,14 +65,16 @@ _CHECK_ERRORS = (CheckFailure, FqzetaError, AssertionError)
 
 def _run(name: str, body: Callable[[], str]) -> CheckResult:
     t0 = time.monotonic_ns()
+    passed = guarded = False
     try:
-        detail = body()
-        passed = True
+        detail, passed = body(), True
+    except errors.ResourceLimitError as exc:
+        # a guard trip stops the check without a disagreement
+        detail, guarded = str(exc), True
     except _CHECK_ERRORS as exc:
         detail = str(exc)
-        passed = False
     millis = (time.monotonic_ns() - t0) // 1_000_000
-    return CheckResult(name, passed, detail, millis)
+    return CheckResult(name, passed, detail, millis, guarded)
 
 
 def _pps(qs: Sequence[int]) -> list[PrimePower]:

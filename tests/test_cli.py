@@ -299,6 +299,38 @@ class TestCompositionsCommand:
 
 
 class TestSweepCommand:
+    @pytest.mark.parametrize("q, smin", [(2, -30), (9, -30)], ids=["q2", "q9-zeros"])
+    def test_chunks_are_bounded_in_bits(self, monkeypatch, q, smin):
+        # each chunk is read back by one canonical_texts call over its
+        # distinct values, and closes as soon as its charge, bit lengths
+        # plus _VALUE_BITS per value, reaches _CHUNK_BITS; at q = 9 every
+        # value is 0, so only the per-value charge bounds those chunks
+        field = field_from_q(q)
+        rows = list(cli.mzv.sweep_rows(field, [range(smin, 0)] * 3))
+        calls = []
+        texts = cli.canonical_texts
+
+        def counted(field, values):
+            calls.append(values)
+            return texts(field, values)
+
+        def charge(rows):
+            values = [n for _, _, row in rows for n in row]
+            return sum(map(int.bit_length, values)) + cli._VALUE_BITS * len(values)
+
+        monkeypatch.setattr(cli, "canonical_texts", counted)
+        chunks = list(cli._chunk_texts(field, iter(rows)))
+        assert [row for chunk, _ in chunks for row in chunk] == rows
+        assert 1 < len(chunks) < len(rows)
+        assert len(calls) == len(chunks)
+        for (chunk, read), values in zip(chunks, calls):
+            assert values == list(dict.fromkeys(n for _, _, row in chunk for n in row))
+            assert list(read) == values
+            assert charge(chunk[:-1]) < cli._CHUNK_BITS
+            assert charge(chunk) >= cli._CHUNK_BITS or chunk is chunks[-1][0]
+        monkeypatch.setattr(cli, "_CHUNK_BITS", 1)
+        assert [chunk for chunk, _ in cli._chunk_texts(field, rows)] == [[row] for row in rows]
+
     def test_csv_shape(self, capsys):
         code, out, _ = run(
             capsys,
@@ -694,6 +726,39 @@ class TestVerifyCommand:
         assert code == 0
         assert re.sub(r" \[\d+ ms\]", "", twice) == re.sub(r" \[\d+ ms\]", "", once)
         assert count in twice
+
+    GUARDED = [
+        "unique-minimum-weight",
+        "monotone-class-lemma",
+        "class-partition",
+        "selection-route-agreement",
+        "reversal-bijection",
+    ]
+
+    def test_guard_trip_is_not_a_failure(self, capsys):
+        # at q = 31 five compose checks reach a digit sum above
+        # DIGIT_SUM_LIMIT: each is a guard trip (exit 3), none a disagreement
+        code, out, err = run(capsys, "verify", "--suite", "compose", "--q", "31")
+        lines = out.splitlines()
+        assert (code, err) == (3, "")
+        assert [line.split(":")[0] for line in lines if not line.startswith("PASS")] == [
+            *(f"GUARD {name}" for name in self.GUARDED),
+            "5/10 checks passed, 5 stopped by a resource guard",
+        ]
+        assert "above the limit 24" in lines[0]
+
+    def test_disagreement_outranks_a_guard_trip(self, capsys, monkeypatch):
+        def disagree():
+            raise verify.CheckFailure("forced")
+
+        monkeypatch.setattr(
+            verify, "run_example_suite", lambda: [verify._run("forced", disagree)]
+        )
+        code, out, _ = run(capsys, "verify", "--suite", "compose", "--q", "31")
+        assert code == 2
+        assert "FAIL forced: forced" in out
+        assert out.count("GUARD ") == 5
+        assert out.endswith("4/10 checks passed, 5 stopped by a resource guard\n")
 
     def test_digits_suite(self, capsys):
         code, out, _ = run(

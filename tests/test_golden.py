@@ -104,15 +104,16 @@ class TestReadmeExamples:
 
 @pytest.fixture
 def memo(request, monkeypatch):
-    """The sweep writers' memo bound: the default, or 1, which clears the
-    memo before every row so that every value is formatted again."""
+    """The sweep writers' chunk budget: the default, or 1 bit, which closes
+    every chunk after its one row, so that each row's values are read back
+    and formatted afresh (a memo of one row)."""
     if request.param is not None:
-        monkeypatch.setattr(cli, "_MEMO_VALUES", request.param)
+        monkeypatch.setattr(cli, "_CHUNK_BITS", request.param)
 
 
 def sweep_runs(jobs):
     """Each sweep digest is taken in one process, in worker processes, and
-    in one process with a memo of one value: the bound changes no byte."""
+    in one process with one row per chunk: the budget changes no byte."""
     return pytest.mark.parametrize(
         "jobs, memo",
         [("1", None), (jobs, None), ("1", 1)],

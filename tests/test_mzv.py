@@ -385,23 +385,26 @@ class TestRowMismatch:
         assert zeta_negative(s, F3).classification == cls
         # the row's own product sum, the one whose columns are the engine's
         # columns of its tails (a suffix table's are built per call), gives
-        # the forced value at s before the row's check reads it
-        row, sums, current = mzv._NegativeEngine.row, mzv.product_sums, []
+        # the forced value at each forced tuple before the row's check reads it
+        row, sums, current, wrong = mzv._NegativeEngine.row, mzv.product_sums, [], {}
 
         def in_row(engine, head, tails):
             current[:] = [engine, head, tails]
             return row(engine, head, tails)
 
-        def wrong_on_one(field, columns, factors):
+        def wrong_on_some(field, columns, factors):
             out = sums(field, columns, factors)
             engine, head, tails = current
             own = [engine._columns[-x] for x in tails]
-            if (field.pp.q, head) == (3, s[:-1]) and list(map(id, columns)) == list(map(id, own)):
-                out[list(tails).index(s[-1])] = forced
+            if field.pp.q == 3 and list(map(id, columns)) == list(map(id, own)):
+                for x in tails:
+                    if head + (x,) in wrong:
+                        out[list(tails).index(x)] = wrong[head + (x,)]
             return out
 
         monkeypatch.setattr(mzv._NegativeEngine, "row", in_row)
-        monkeypatch.setattr(mzv, "product_sums", wrong_on_one)
+        monkeypatch.setattr(mzv, "product_sums", wrong_on_some)
+        wrong[s] = forced
         with pytest.raises(VanishingMismatchError) as exc:
             list(mzv.sweep_rows(F3, [range(-3, 0)] * 2))
         assert f"zeta{s} {message}" in str(exc.value)
@@ -409,4 +412,53 @@ class TestRowMismatch:
         out = capsys.readouterr()
         assert out.out == ""
         assert f"zeta{s} {message}" in out.err
+        # two tuples of the row disagree: the first in the order of tails is
+        # named, whether the other comes after it (-1) or before it (-3)
+        for x in (-1, -3):
+            wrong.clear()
+            wrong[s] = wrong[s[:-1] + (x,)] = forced
+            first = min(s, s[:-1] + (x,))
+            with pytest.raises(VanishingMismatchError) as exc:
+                list(mzv.sweep_rows(F3, [range(-3, 0)] * 2))
+            assert str(exc.value).startswith(f"zeta{first} {message}")
 
+
+class TestSuffixTable:
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_entries_are_chain_sums(self, q):
+        # T(m), m >= 1, against the sum over chains d_1 > ... > d_i >= m,
+        # each d_j within the threshold of -head[j-1], of products of
+        # power_sum_packed values; T(0) is not computed
+        import itertools
+        from fqzeta.digitlab import _threshold_floor
+
+        field = field_from_q(q)
+
+        def S(d, s):
+            return Poly.from_packed(field, powersum.power_sum_packed(d, -s, field))
+
+        def chain_sum(head, m):
+            total = Poly.zero(field)
+            tops = [_threshold_floor(-x, field.pp) for x in head]
+            for ds in itertools.product(*(range(m, top + 1) for top in tops)):
+                if all(a > b for a, b in zip(ds, ds[1:])):
+                    term = Poly.one(field)
+                    for d, x in zip(ds, head):
+                        term = term * S(d, x)
+                    total = total + term
+            return total
+
+        entries = range(-(4 * q * q - 1), 0, q + 1)
+        heads = [(x,) for x in entries] + list(itertools.product(entries, repeat=2))
+        heads.append((-(q**4 - 1), -(q**3 - 1), -(q * q - 1)))
+        engine = mzv._NegativeEngine(field, {-x for head in heads for x in head})
+        nonzero = 0
+        for head in heads:
+            table = engine.suffix_table(head)
+            assert table[0] is None
+            assert len(table) == _threshold_floor(-head[-1], field.pp) + 2
+            for m in range(1, len(table)):
+                expected = chain_sum(head, m)
+                assert Poly.from_packed(field, table[m]) == expected, (q, head, m)
+                nonzero += not expected.is_zero
+        assert nonzero
